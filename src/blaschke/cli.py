@@ -14,27 +14,21 @@ import sys
 from typing import Any, Optional, Sequence
 
 from .decompose import (
-    Decomposition,
     decompose_auto,
+    decompose_invariants_search,
     decompose_paired_2n,
+    decompose_paired_search,
     decompose_tripled_3n,
-    decompose_via_invariants,
     roundtrip_residual,
 )
-from .errors import BadShape, BlaschkeError, ConditionsUnsatisfied, DecompositionError
+from .errors import BadShape, BlaschkeError, ConditionsUnsatisfied
 from .figures import FigureSpec, render_svg
 from .invariants import (
-    InvariantGroup,
     construct_invariant_product,
     find_invariant_group,
     verify_invariance,
 )
-from .moebius import (
-    MoebiusTransform,
-    moebius_iterate_zero,
-    moebius_power,
-    solve_unimodular_c,
-)
+from .moebius import MoebiusTransform, moebius_iterate_zero, solve_unimodular_c
 from .poncelet import poncelet_ellipse
 from .products import (
     ORIGIN_ZERO_TOL,
@@ -200,35 +194,17 @@ def _cmd_verify(args) -> Any:
     return {"max_residual": verify_invariance(product, args.moebius, args.samples)}
 
 
-def _decompose_invariants_route(product: BlaschkeProduct) -> Decomposition:
-    groups = find_invariant_group(product)
-    failures = []
-    for group in groups:
-        divisors = [d for d in range(2, group.order + 1) if group.order % d == 0]
-        divisors.sort(key=lambda d: (d == product.degree, d))
-        for d in divisors:
-            element = moebius_power(group.generator, group.order // d)
-            try:
-                return decompose_via_invariants(product, InvariantGroup(element, d))
-            except BlaschkeError as exc:
-                failures.append(str(exc))
-    raise DecompositionError(
-        "no invariant group yields a decomposition"
-        + (": " + "; ".join(failures) if failures else "")
-    )
-
-
 def _cmd_decompose(args) -> Any:
     product = _read_product(args.product)
     if args.method == "auto":
         dec = decompose_auto(product, args.tol)
     elif args.method == "invariants":
-        dec = _decompose_invariants_route(product)
+        dec = decompose_invariants_search(product)
     elif args.method == "paired":
         if args.a1_index is not None:
             dec = decompose_paired_2n(product, args.a1_index, args.tol)
         else:
-            dec = _paired_search(product, args.tol)
+            dec = decompose_paired_search(product, args.tol)
     else:
         dec = decompose_tripled_3n(product, None, args.tol)
     return {
@@ -237,20 +213,6 @@ def _cmd_decompose(args) -> Any:
         "source": dec.source.value,
         "roundtrip_residual": roundtrip_residual(dec, product),
     }
-
-
-def _paired_search(product: BlaschkeProduct, tol: float) -> Decomposition:
-    failures = []
-    for idx, z in enumerate(product.zeros):
-        if abs(z) <= ORIGIN_ZERO_TOL:
-            continue
-        try:
-            return decompose_paired_2n(product, idx, tol)
-        except BlaschkeError as exc:
-            failures.append(f"index {idx}: {exc}")
-    raise ConditionsUnsatisfied(
-        "no distinguished zero admits a pairing" + (": " + "; ".join(failures) if failures else "")
-    )
 
 
 def _cmd_compose(args) -> Any:

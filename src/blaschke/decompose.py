@@ -15,13 +15,14 @@ from typing import Optional, Sequence
 
 from .errors import (
     BadShape,
+    BlaschkeError,
     ConditionsUnsatisfied,
     DecompositionError,
     NoInteriorFixedPoint,
     NormalizationError,
     OrbitClusterError,
 )
-from .invariants import InvariantGroup
+from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
 from .products import (
     ORIGIN_ZERO_TOL,
@@ -356,48 +357,64 @@ def _build_tripled(
     return _checked(inner, outer, product, DecompositionSource.TRIPLED_ZEROS_3N)
 
 
-def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
-    """First decomposition found trying invariants, then paired, then tripled."""
+def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
+    """First split through a subgroup of an invariant group of the product.
+
+    For each group, in the order :func:`find_invariant_group` returns them,
+    the subgroups of order d are tried with d ascending.  The subgroup of the
+    full degree is skipped: it only gives the trivial split with an outer
+    factor of degree 1.
+    """
     failures: list[str] = []
-
-    try:
-        from .invariants import find_invariant_group
-
-        groups = find_invariant_group(product)
-        for group in groups:
-            divisors = [d for d in range(2, group.order + 1) if group.order % d == 0]
-            # Prefer splits with a nontrivial outer factor.
-            divisors.sort(key=lambda d: (d == product.degree, d))
-            for d in divisors:
-                element = moebius_power(group.generator, group.order // d)
-                try:
-                    return decompose_via_invariants(product, InvariantGroup(element, d))
-                except Exception as exc:  # noqa: BLE001 - keep trying other routes
-                    failures.append(f"invariants(order {d}): {exc}")
-        if not groups:
-            failures.append("invariants: no nontrivial group found")
-    except Exception as exc:  # noqa: BLE001
-        failures.append(f"invariants: {exc}")
-
-    if product.degree % 2 == 0:
-        tried = set()
-        for idx, z in enumerate(product.zeros):
-            if abs(z) <= ORIGIN_ZERO_TOL or z in tried:
+    for group in find_invariant_group(product):
+        for d in range(2, group.order + 1):
+            if group.order % d or d == product.degree:
                 continue
-            tried.add(z)
+            element = moebius_power(group.generator, group.order // d)
             try:
-                return decompose_paired_2n(product, idx, tol)
-            except Exception as exc:  # noqa: BLE001
-                failures.append(f"paired(a1 index {idx}): {exc}")
-    else:
-        failures.append("paired: degree is odd")
+                return decompose_via_invariants(product, InvariantGroup(element, d))
+            except BlaschkeError as exc:
+                failures.append(f"order {d}: {exc}")
+    raise DecompositionError(
+        "no invariant group yields a nontrivial decomposition"
+        + (": " + "; ".join(failures) if failures else "")
+    )
 
-    if product.degree % 3 == 0:
+
+def decompose_paired_search(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
+    """First paired split over the choices of the distinguished zero a1."""
+    if product.degree % 2 != 0:
+        raise ConditionsUnsatisfied("paired decomposition needs even degree")
+    failures: list[str] = []
+    tried = set()
+    for idx, z in enumerate(product.zeros):
+        if abs(z) <= ORIGIN_ZERO_TOL or z in tried:
+            continue
+        tried.add(z)
         try:
-            return decompose_tripled_3n(product, None, tol)
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"tripled: {exc}")
-    else:
-        failures.append("tripled: degree not divisible by 3")
+            return decompose_paired_2n(product, idx, tol)
+        except BlaschkeError as exc:
+            failures.append(f"a1 index {idx}: {exc}")
+    raise ConditionsUnsatisfied(
+        "no distinguished zero admits a pairing" + (": " + "; ".join(failures) if failures else "")
+    )
 
+
+def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
+    """First decomposition found trying invariants, then paired, then tripled.
+
+    A route that fails with a :class:`BlaschkeError` passes on to the next
+    one; any other exception propagates.
+    """
+    routes = (
+        ("invariants", lambda: decompose_invariants_search(product)),
+        ("paired", lambda: decompose_paired_search(product, tol)),
+        ("tripled", lambda: decompose_tripled_3n(product, None, tol)),
+    )
+    failures: list[str] = []
+    for name, route in routes:
+        try:
+            return route()
+        except BlaschkeError as exc:
+            failures.append(f"{name}: {exc}")
     raise DecompositionError("no decomposition route succeeded: " + "; ".join(failures))

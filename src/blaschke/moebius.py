@@ -1,9 +1,9 @@
 """Automorphisms of the unit disk, M(z) = c (z - alpha) / (1 - conj(alpha) z).
 
 Besides evaluation and composition this module tracks orbits of the origin
-and solves for the unimodular constants c that close such an orbit after a
-prescribed number of steps, which is the engine behind constructing products
-invariant under M.
+and gives, in closed form from the rotation angle, the unimodular constants c
+that close such an orbit after a prescribed number of steps and the order of
+a map, which is the engine behind constructing products invariant under M.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, NormalizationError, NoSolution
-from .numerics import ComplexPolynomial, filter_unimodular, poly_roots, require_finite
+from .numerics import ComplexPolynomial, poly_roots, require_finite
 
 UNIT_MODULUS_TOL = 1e-9
 OPEN_DISK_MARGIN = 1e-12
@@ -23,7 +23,6 @@ EVAL_DOMAIN_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 ORBIT_CLOSURE_TOL = 1e-8
 ORBIT_DISTINCT_TOL = 1e-7
-UNIMODULAR_ROOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,19 +132,29 @@ def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT
 def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> Optional[int]:
     """Smallest k <= cap with the k-th iterate equal to the identity, if any.
 
-    Iterates of maps without finite order can degenerate toward the boundary
-    of the parameter space; that also counts as "no order within the cap".
+    The order is read off the trace.  With x = |1 + c| / (2 sqrt(1 - |alpha|^2)),
+    a map other than the identity is hyperbolic or parabolic when x >= 1 and
+    has no finite order.  Otherwise it is elliptic and rotates about its
+    interior fixed point by the angle 2 arccos(x) (up to sign), so M^k is the
+    identity exactly when k arccos(x) / pi is an integer.
+
+    ``tol`` bounds two things: the parameter distance max(|c - 1|, |alpha|)
+    at which ``m`` itself counts as the identity (order 1), and the rotation
+    angle in radians, modulo 2 pi, that M^k may keep and still count as the
+    identity.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    current = m
-    for k in range(1, cap + 1):
-        if max(abs(current.c - 1.0), abs(current.alpha)) <= tol:
+    if max(abs(m.c - 1.0), abs(m.alpha)) <= tol:
+        return 1
+    r = abs(m.alpha)
+    x = abs(1.0 + m.c) / (2.0 * math.sqrt((1.0 - r) * (1.0 + r)))
+    if x >= 1.0:
+        return None
+    turns = math.acos(x) / math.pi
+    for k in range(2, cap + 1):
+        if 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
             return k
-        try:
-            current = moebius_compose(current, m)
-        except NormalizationError:
-            return None
     return None
 
 
@@ -171,8 +180,10 @@ def closure_polynomial(alpha: complex, n: int) -> ComplexPolynomial:
 
     The coefficient matrix of M has entries polynomial in c; its n-th power
     is formed by repeated squaring and the numerator-constant entry is the
-    returned polynomial.  This keeps the dependency on c exact instead of
-    sampling orbits.
+    returned polynomial.  It is the reference for the closed form in
+    :func:`solve_unimodular_c`: at small n its unimodular roots other than
+    c = 1 are the same constants.  Root finding on it loses constants from
+    moderate n on (n = 10 at |alpha| = 0.9), so the package does not solve it.
     """
     alpha = require_finite(alpha)
     if n < 1:
@@ -205,20 +216,17 @@ def _pmat_mul(x: _PolyMat, y: _PolyMat) -> _PolyMat:
 
 
 def solve_unimodular_c(
-    alpha: complex,
-    n: int,
-    tol: float = ORBIT_DISTINCT_TOL,
-    *,
-    unimodular_tol: float = UNIMODULAR_ROOT_TOL,
-    closure_tol: float = ORBIT_CLOSURE_TOL,
+    alpha: complex, n: int, tol: float = ORBIT_DISTINCT_TOL
 ) -> list[tuple[complex, OrbitReport]]:
     """All unimodular constants c for which the orbit of 0 closes after n steps.
 
-    Roots of :func:`closure_polynomial` are filtered to the unit circle,
-    c = 1 is discarded, and each survivor must produce an orbit that closes
-    with ``min_pairwise_gap >= tol``.  Passing ``tol = 0`` admits degenerate
-    orbits whose points coincide.  Returns (c, orbit) pairs sorted by the
-    phase of c.
+    M closes the orbit exactly when it is elliptic with rotation angle
+    2 pi k / n, and by the trace condition its constant c = e^{i theta} then
+    satisfies cos(theta / 2) = sqrt(1 - |alpha|^2) cos(pi k / n).  The n - 1
+    candidates k = 1 .. n-1 are kept when they produce an orbit that closes
+    with ``min_pairwise_gap >= tol``; the default tolerance drops the k with
+    gcd(k, n) > 1, whose orbits revisit points, and ``tol = 0`` admits them.
+    Returns (c, orbit) pairs sorted by the phase of c.
     """
     alpha = require_finite(alpha)
     if alpha == 0:
@@ -229,17 +237,12 @@ def solve_unimodular_c(
         raise ValueError("need n >= 2")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    candidates = filter_unimodular(poly_roots(closure_polynomial(alpha, n)), unimodular_tol)
-    deduped: list[complex] = []
-    for c in candidates:
-        if abs(c - 1.0) <= IDENTITY_TOL:
-            continue
-        if any(abs(c - seen) <= 1e-8 for seen in deduped):
-            continue
-        deduped.append(c)
+    r = abs(alpha)
+    scale = math.sqrt((1.0 - r) * (1.0 + r))
     solutions = []
-    for c in deduped:
-        orbit = moebius_iterate_zero(MoebiusTransform(c, alpha), n, closure_tol)
+    for k in range(1, n):
+        c = cmath.exp(2j * math.acos(scale * math.cos(math.pi * k / n)))
+        orbit = moebius_iterate_zero(MoebiusTransform(c, alpha), n)
         if orbit.closes and orbit.min_pairwise_gap >= tol:
             solutions.append((c, orbit))
     if not solutions:

@@ -1,7 +1,7 @@
 """Dense complex polynomials and a simultaneous root finder.
 
 Everything else in the package bottoms out here: composition equations,
-boundary preimages and the unimodular-constant equations are all solved by
+boundary preimages and interior fixed points are all solved by
 :func:`poly_roots`, an Aberth-Ehrlich iteration that refines all roots of a
 polynomial at once.
 """
@@ -96,11 +96,7 @@ class ComplexPolynomial:
 
 def poly_eval(p: ComplexPolynomial, z: complex) -> complex:
     """Evaluate ``p`` at ``z`` by Horner's scheme."""
-    z = require_finite(z)
-    acc = 0j
-    for c in reversed(p.coeffs):
-        acc = acc * z + c
-    return acc
+    return _horner(p.coeffs, require_finite(z))
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
@@ -121,10 +117,17 @@ def _solve_quadratic(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [r1, r2]
 
 
-def _residual_cap(scale: float, root: complex, degree: int, limit: float) -> float:
+def _within_cap(residual: complex, scale: float, root: complex, degree: int, limit: float) -> bool:
     # Absolute residuals grow like |r|^degree at roots far outside the unit
     # circle, so the bound is scaled by the polynomial's magnitude there.
-    return limit * scale * max(1.0, abs(root)) ** degree
+    try:
+        return abs(residual) <= limit * scale * max(1.0, abs(root)) ** degree
+    except OverflowError:
+        # |r|^degree (or the residual) is beyond the float range, as on the
+        # start ring of a high-degree polynomial: compare in log space.
+        value = math.hypot(residual.real, residual.imag)
+        size = max(1.0, math.hypot(root.real, root.imag))
+        return value == 0.0 or math.log(value) <= math.log(limit * scale) + degree * math.log(size)
 
 
 def _aberth(coeffs: Sequence[complex], scale: float) -> list[complex]:
@@ -137,16 +140,13 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> list[complex]:
     roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / n + 0.5)) for k in range(n)]
     for _ in range(MAX_SWEEPS):
         pvals = [_horner(coeffs, z) for z in roots]
-        if all(
-            abs(v) <= _residual_cap(scale, z, n, RESIDUAL_TARGET)
-            for v, z in zip(pvals, roots)
-        ):
+        if all(_within_cap(v, scale, z, n, RESIDUAL_TARGET) for v, z in zip(pvals, roots)):
             return roots
         new_roots = []
         max_step = 0.0
         for i, z in enumerate(roots):
             pv = pvals[i]
-            if abs(pv) <= _residual_cap(scale, z, n, RESIDUAL_TARGET):
+            if _within_cap(pv, scale, z, n, RESIDUAL_TARGET):
                 new_roots.append(z)
                 continue
             dv = _horner(dcoeffs, z)
@@ -197,21 +197,11 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
     elif m >= 3:
         roots.extend(_aberth(coeffs, scale))
     for r in roots:
-        residual = abs(poly_eval(p, r))
-        if residual > _residual_cap(scale, r, p.degree, RESIDUAL_LIMIT):
+        residual = _horner(p.coeffs, r)
+        if not (cmath.isfinite(r) and _within_cap(residual, scale, r, p.degree, RESIDUAL_LIMIT)):
             raise NonConvergence(
-                f"residual {residual:.3e} at root {r!r} exceeds the bound after {MAX_SWEEPS} sweeps"
+                f"residual {math.hypot(residual.real, residual.imag):.3e} at root {r!r}"
+                f" exceeds the bound after {MAX_SWEEPS} sweeps"
             )
     return roots
 
-
-def filter_unimodular(roots: Iterable[complex], tol: float) -> list[complex]:
-    """Keep roots within ``tol`` of the unit circle, projected exactly onto it."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    kept = []
-    for r in roots:
-        mod = abs(r)
-        if abs(mod - 1.0) <= tol:
-            kept.append(r / mod)
-    return kept

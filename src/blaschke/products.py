@@ -115,9 +115,7 @@ def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY
     return True
 
 
-def _recover_constant(
-    target: BlaschkeProduct, zeros: Sequence[complex], reference: "callable"
-) -> complex:
+def _recover_constant(zeros: Sequence[complex], reference: "callable") -> complex:
     """Unimodular constant making ``prod (z-a)/(1-conj(a) z)`` match ``reference``."""
     plain = BlaschkeProduct(1.0, tuple(zeros))
     golden = 2 * math.pi * (math.sqrt(5) - 1) / 2
@@ -146,9 +144,7 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> Blaschke
     zeros: list[complex] = []
     for b in outer.zeros:
         zeros.extend(poly_roots(num - den.scaled(b)))
-    composed = _recover_constant(
-        outer, zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z))
-    )
+    composed = _recover_constant(zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z)))
     return BlaschkeProduct(composed, tuple(zeros))
 
 

@@ -24,7 +24,6 @@ from blaschke import (
     decompose_paired_2n,
     decompose_tripled_3n,
     decompose_via_invariants,
-    filter_unimodular,
     find_invariant_group,
     moebius_power,
     poly_roots,
@@ -91,7 +90,7 @@ def test_criterion_4_degree4_case_b():
     a1 = 2 / 3
     t = abs(a1) ** 2
     equation = ComplexPolynomial([a1 * (1 - t), a1, 2 * a1 * t, a1 * t])
-    unimodular = filter_unimodular(poly_roots(equation), 1e-8)
+    unimodular = [r / abs(r) for r in poly_roots(equation) if abs(abs(r) - 1) <= 1e-8]
     ok = len(unimodular) == 1 and abs(unimodular[0] - (-1)) <= 1e-10
     c = unimodular[0]
     m = MoebiusTransform(c / abs(c), -c.conjugate() * a1)

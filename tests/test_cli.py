@@ -71,6 +71,12 @@ def test_solve_c_reference(capsys):
         assert len(item["orbit"]["points"]) == 5
 
 
+def test_solve_c_degree_60(capsys):
+    out = run_json(capsys, ["solve-c", "--alpha", "0.5,0", "--degree", "60"])
+    assert len(out) == 16
+    assert all(item["orbit"]["closes"] for item in out)
+
+
 def test_construct_and_verify(capsys, tmp_path):
     code = run(["construct", "--alpha", "0.5,0", "--c", "-0.856763,-0.515711",
                 "--degree", "5", "--tol", "1e-5"])
@@ -190,6 +196,20 @@ def test_condition_error_exit_code(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.err)["error"] == "ConditionsUnsatisfied"
+
+
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_decompose_invariants_prime_degree_fails(capsys, tmp_path, n):
+    c = run_json(capsys, ["solve-c", "--alpha", "0.5,0", "--degree", str(n)])[0]["c"]
+    product = run_json(
+        capsys, ["construct", "--alpha", "0.5,0", "--c", f"{c[0]!r},{c[1]!r}", "--degree", str(n)]
+    )
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps(product))
+    code = run(["decompose", "--product", str(path), "--method", "invariants"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "DecompositionError"
 
 
 def test_usage_error_exit_code(capsys):

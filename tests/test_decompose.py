@@ -22,7 +22,9 @@ from blaschke import (
     check_tripled_conditions_3n,
     construct_invariant_product,
     decompose_auto,
+    decompose_invariants_search,
     decompose_paired_2n,
+    decompose_paired_search,
     decompose_tripled_3n,
     decompose_via_invariants,
     find_invariant_group,
@@ -283,6 +285,41 @@ def test_prime_degree_has_no_split_routes():
             decompose_paired_2n(b, 1)
         with pytest.raises(BadShape):
             decompose_tripled_3n(b)
+
+
+def orbit_product(n: int) -> BlaschkeProduct:
+    c, _ = solve_unimodular_c(0.5, n)[0]
+    return construct_invariant_product(MoebiusTransform(c, 0.5), n)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11])
+def test_prime_degree_invariant_product_has_no_split(n):
+    # The invariant group has order n, whose only subgroup of order > 1 gives
+    # the trivial split with an outer factor of degree 1.
+    b = orbit_product(n)
+    assert [group.order for group in find_invariant_group(b)] == [n]
+    with pytest.raises(DecompositionError):
+        decompose_invariants_search(b)
+    with pytest.raises(DecompositionError):
+        decompose_auto(b)
+
+
+def test_paired_search_reports_conditions_unsatisfied():
+    with pytest.raises(ConditionsUnsatisfied):
+        decompose_paired_search(BlaschkeProduct(1.0, (0j, 0.1, 0.2, 0.3)))
+    with pytest.raises(ConditionsUnsatisfied):
+        decompose_paired_search(orbit_product(5))
+
+
+def test_auto_propagates_programming_errors(monkeypatch, degree4_case_b_product):
+    import blaschke.decompose
+
+    def broken(product):
+        raise TypeError("not a library failure")
+
+    monkeypatch.setattr(blaschke.decompose, "decompose_invariants_search", broken)
+    with pytest.raises(TypeError):
+        decompose_auto(degree4_case_b_product)
 
 
 def test_degree_law_on_all_routes(poncelet_product, degree6_paired_product):

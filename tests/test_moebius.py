@@ -23,6 +23,7 @@ from blaschke import (
     moebius_iterate_zero,
     moebius_order,
     moebius_power,
+    poly_roots,
     solve_unimodular_c,
 )
 from conftest import (
@@ -32,6 +33,7 @@ from conftest import (
     DEGREE7_A6,
     DEGREE7_C,
     exact_degree3_constant,
+    multiset_close,
     random_interior,
 )
 
@@ -292,3 +294,62 @@ def test_solutions_close_orbits_and_leave_product_invariant(radius, angle, n):
         assert moebius_order(m, n, tol=1e-6) is not None
         product = construct_invariant_product(m, n)
         assert verify_invariance(product, m, 100) <= 1e-9
+
+
+def totient(n: int) -> int:
+    return sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.floats(min_value=0.05, max_value=0.9),
+    st.floats(min_value=0.0, max_value=2 * math.pi),
+    st.integers(min_value=2, max_value=100),
+)
+def test_closed_form_constants_up_to_degree_100(radius, angle, n):
+    from blaschke import construct_invariant_product, verify_invariance
+
+    alpha = radius * cmath.exp(1j * angle)
+    assert len(solve_unimodular_c(alpha, n, tol=0.0)) == n - 1
+    sols = solve_unimodular_c(alpha, n)
+    assert len(sols) == totient(n)
+    for c, orbit in sols:
+        assert orbit.closes
+        m = MoebiusTransform(c, alpha)
+        assert moebius_order(m, n) == n
+        product = construct_invariant_product(m, n)
+        assert verify_invariance(product, m, n + 1) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3 + 0.4j, 0.8, 0.1j])
+def test_closed_form_matches_closure_polynomial_roots(alpha):
+    # The closure polynomial is c times a factor whose roots all lie on the
+    # circle; they are the constants of every k = 1 .. n-1.
+    for n in range(2, 13):
+        roots = poly_roots(closure_polynomial(alpha, n))
+        unimodular = [r / abs(r) for r in roots if abs(abs(r) - 1) <= 1e-6]
+        closed_form = [c for c, _ in solve_unimodular_c(alpha, n, tol=0.0)]
+        assert multiset_close(unimodular, closed_form, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "alpha, n", [(0.5, 30), (0.65, 30), (0.8, 24), (0.9, 16), (0.5, 60), (0.5, 100)]
+)
+def test_solve_finds_every_primitive_constant(alpha, n):
+    sols = solve_unimodular_c(alpha, n)
+    assert len(sols) == totient(n)
+    phases = [cmath.phase(c) % (2 * math.pi) for c, _ in sols]
+    assert phases == sorted(phases)
+
+
+def test_order_of_parabolic_map_is_none():
+    # |1 + c| = 2 sqrt(1 - |alpha|^2) puts the map on the parabolic boundary.
+    m = MoebiusTransform(cmath.exp(2j * math.acos(0.8)), 0.6)
+    assert moebius_order(m, 1000) is None
+
+
+def test_order_tol_bounds_leftover_rotation_angle():
+    # A rotation by 2 pi / 3 + 1e-9 leaves 3e-9 rad after three steps.
+    m = MoebiusTransform(cmath.exp(1j * (2 * math.pi / 3 + 1e-9)), 0.0)
+    assert moebius_order(m, 10, tol=1e-8) == 3
+    assert moebius_order(m, 10, tol=1e-9) is None

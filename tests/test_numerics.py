@@ -1,4 +1,4 @@
-"""Tests for polynomial evaluation, root finding and unimodular filtering."""
+"""Tests for polynomial evaluation and root finding."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blaschke import ComplexPolynomial, filter_unimodular, poly_eval, poly_roots
+from blaschke import ComplexPolynomial, NonConvergence, closure_polynomial, poly_eval, poly_roots
 from conftest import multiset_close
 
 # Constant equations at pole parameter 1/2, cleared to integer coefficients.
@@ -61,6 +61,17 @@ def test_degree5_constant_equation_root():
 def test_degree7_constant_equation_root():
     roots = poly_roots(ComplexPolynomial(DEGREE7_CONSTANT_EQN))
     assert any(abs(r - (0.217617 - 0.976034j)) <= 1e-4 for r in roots)
+
+
+def test_roots_never_overflow_at_high_degree():
+    # The degree-60 closure polynomial starts the iteration on a ring where
+    # max(1, |r|)^degree is far beyond the float range.
+    p = closure_polynomial(0.5, 60)
+    try:
+        roots = poly_roots(p)
+    except NonConvergence:
+        return
+    assert len(roots) == p.degree
 
 
 def test_roots_degree_zero_rejected():
@@ -158,41 +169,6 @@ def test_self_inversive_roots_closed_under_inversion(p):
     roots = poly_roots(p)
     inverted = [1 / r.conjugate() for r in roots]
     assert multiset_close(roots, inverted, 1e-8)
-
-
-def test_filter_unimodular_basic():
-    kept = filter_unimodular([2 + 0j, 1j, 0.5 + 0j], 1e-6)
-    assert kept == [1j]
-
-
-def test_filter_unimodular_cubic():
-    # The non-unimodular roots of (c + 1)(4c^2 + 4c + 5) have modulus
-    # sqrt(5)/2, so only -1 survives.
-    roots = poly_roots(ComplexPolynomial([5, 9, 8, 4]))
-    kept = filter_unimodular(roots, 1e-8)
-    assert len(kept) == 1
-    assert abs(kept[0] - (-1)) <= 1e-10
-
-
-def test_filter_unimodular_empty():
-    assert filter_unimodular([], 1e-6) == []
-
-
-def test_filter_unimodular_requires_positive_tol():
-    with pytest.raises(ValueError):
-        filter_unimodular([1j], 0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(complex_coeff, max_size=6), st.floats(min_value=1e-9, max_value=0.1))
-def test_filter_unimodular_projects_exactly(values, tol):
-    kept = filter_unimodular(values, tol)
-    for k in kept:
-        assert abs(k) == 1.0
-    # Output comes from input: each kept value is the projection of a value
-    # within tol of the circle.
-    for k in kept:
-        assert any(abs(abs(v) - 1) <= tol and abs(v / abs(v) - k) == 0 for v in values if v != 0)
 
 
 def test_polynomial_arithmetic():
