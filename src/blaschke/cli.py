@@ -206,7 +206,7 @@ def _cmd_decompose(args) -> Any:
         else:
             dec = decompose_paired_search(product, args.tol)
     else:
-        dec = decompose_tripled_3n(product, None, args.tol)
+        dec = decompose_tripled_3n(product, args.tol)
     return {
         "inner": product_to_document(dec.inner),
         "outer": product_to_document(dec.outer),

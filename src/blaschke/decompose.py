@@ -1,17 +1,26 @@
 """Explicit decompositions B = outer ∘ inner of finite Blaschke products.
 
-Three routes are implemented: the general construction from an invariant
-group (inner is a k-th power of a disk automorphism centered at the fixed
-point), and two structured-zero constructions for degrees 2n and 3n whose
-zero conditions can be checked and searched directly.
+Every route proposes an inner factor and groups the zeros of B by their
+image under it.  B factors through the inner factor exactly when each group
+is made of full fibers, that is, its size is a multiple of the inner degree;
+the group images are then the zeros of the outer factor (Garcia–Mashreghi–
+Ross, *Finite Blaschke Products and Their Connections*, 2018).  The inner
+factor comes from an invariant group, ``((z - g)/(1 - conj(g) z))^k`` at the
+generator's interior fixed point g, or, for a canonical product, from one or
+two nonzero zeros: ``z (z - a1)/(1 - conj(a1) z)`` and its degree-3 analogue.
+The paper's paired and tripled zero conditions are Vieta's formulas for such
+fibers; :func:`check_paired_conditions_2n` and
+:func:`check_tripled_conditions_3n` evaluate them for a grouping the caller
+supplies.  The ``tol`` of the paired and tripled routes bounds, times the
+degree of B, how far an image may lie from the first image of its group.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 from .errors import (
     BadShape,
@@ -19,8 +28,6 @@ from .errors import (
     ConditionsUnsatisfied,
     DecompositionError,
     NoInteriorFixedPoint,
-    NormalizationError,
-    OrbitClusterError,
 )
 from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
@@ -32,11 +39,11 @@ from .products import (
     blaschke_eval,
     canonical_form,
     probe_points,
+    recover_constant,
 )
 
 ROUNDTRIP_TOL = 1e-7
 CONDITION_TOL = 1e-7
-CLUSTER_TOL = 1e-7
 
 
 class DecompositionSource(enum.Enum):
@@ -82,6 +89,63 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     )
 
 
+def _fiber_split(
+    product: BlaschkeProduct,
+    inner: BlaschkeProduct,
+    source: DecompositionSource,
+    tol: float = CONDITION_TOL,
+) -> Decomposition:
+    # Images within tol * degree of a group's first image join the group; a
+    # group of m zeros holds m / deg(inner) fibers over its mean image.
+    d = inner.degree
+    spread = tol * product.degree
+    images = [blaschke_eval(inner, a) for a in product.zeros]
+    outer_zeros: list[complex] = []
+    while images:
+        seed = images[0]
+        group = [w for w in images if abs(w - seed) <= spread]
+        if len(group) % d != 0:
+            raise ConditionsUnsatisfied(
+                f"{len(group)} zero(s) share an image under the inner factor,"
+                f" not a multiple of its degree {d}"
+            )
+        outer_zeros.extend([sum(group) / len(group)] * (len(group) // d))
+        images = [w for w in images if abs(w - seed) > spread]
+    constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
+    outer = BlaschkeProduct(constant, tuple(outer_zeros))
+    return _checked(inner, outer, product, source)
+
+
+def _require_shape(product: BlaschkeProduct, d: int, what: str) -> None:
+    if product.degree % d != 0:
+        raise BadShape(f"{what}: the degree must be divisible by {d}")
+    if not canonical_form(product).is_canonical:
+        raise BadShape(f"{what}: the product must be canonical")
+
+
+def _search_inner_zeros(
+    product: BlaschkeProduct, d: int, attempt: Callable[[tuple[int, ...]], Decomposition]
+) -> Decomposition:
+    # One attempt per distinct multiset of d - 1 nonzero zeros, in index order.
+    zeros = product.zeros
+    nonzero = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
+    tried = set()
+    last = ""
+    for picks in combinations(nonzero, d - 1):
+        values = tuple(sorted((zeros[i] for i in picks), key=lambda z: (z.real, z.imag)))
+        if values in tried:
+            continue
+        tried.add(values)
+        try:
+            return attempt(picks)
+        except BlaschkeError as exc:
+            last = f"; last, zero indices {picks}: {exc}"
+    raise ConditionsUnsatisfied(
+        f"no inner factor on 0 and {d - 1} nonzero zero(s) has all zeros in its fibers"
+        f" ({len(tried)} tried{last})"
+    )
+
+
 def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) -> Decomposition:
     """Split a product invariant under a group of order k into degrees (k, n/k).
 
@@ -98,48 +162,7 @@ def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) ->
     if gamma is None:
         raise NoInteriorFixedPoint("generator has no fixed point inside the open disk")
     inner = BlaschkeProduct(1.0, (gamma,) * k)
-    images = [blaschke_eval(inner, a) for a in product.zeros]
-    cluster_tol = CLUSTER_TOL * n
-    clusters: list[list[complex]] = []
-    for w in images:
-        for cluster in clusters:
-            if abs(w - cluster[0]) <= cluster_tol:
-                cluster.append(w)
-                break
-        else:
-            clusters.append([w])
-    outer_zeros: list[complex] = []
-    for cluster in clusters:
-        if len(cluster) % k != 0:
-            raise OrbitClusterError(
-                f"cluster of {len(cluster)} zero images is not a multiple of the order {k}"
-            )
-        mean = sum(cluster) / len(cluster)
-        outer_zeros.extend([mean] * (len(cluster) // k))
-    outer_constant = _match_constant(product, inner, outer_zeros)
-    outer = BlaschkeProduct(outer_constant, tuple(outer_zeros))
-    return _checked(inner, outer, product, DecompositionSource.INVARIANT_GROUP)
-
-
-def _match_constant(
-    product: BlaschkeProduct, inner: BlaschkeProduct, outer_zeros: Sequence[complex]
-) -> complex:
-    # Solve B(z0) = c * plain(inner(z0)) for c at a probe z0, then project c
-    # onto the unit circle.
-    plain = BlaschkeProduct(1.0, tuple(outer_zeros))
-    golden = math.pi * (math.sqrt(5) - 1)
-    for k in range(64):
-        z0 = 0.53 * complex(math.cos(0.37 + golden * k), math.sin(0.37 + golden * k))
-        denom = blaschke_eval(plain, blaschke_eval(inner, z0))
-        if abs(denom) <= 1e-9:
-            continue
-        constant = blaschke_eval(product, z0) / denom
-        if abs(abs(constant) - 1.0) > 1e-6:
-            raise NormalizationError(
-                f"recovered outer constant has modulus {abs(constant)!r}, too far from 1"
-            )
-        return constant / abs(constant)
-    raise NormalizationError("no usable probe point for outer constant recovery")
+    return _fiber_split(product, inner, DecompositionSource.INVARIANT_GROUP)
 
 
 def check_paired_conditions_2n(
@@ -156,10 +179,7 @@ def check_paired_conditions_2n(
     """
     zeros = product.zeros
     n = product.degree
-    if n % 2 != 0:
-        raise BadShape("paired conditions need even degree")
-    if not canonical_form(product).is_canonical:
-        raise BadShape("paired conditions need a canonical product")
+    _require_shape(product, 2, "paired conditions")
     used = [a1_index]
     for i, j in pairing:
         used.extend((i, j))
@@ -176,61 +196,22 @@ def check_paired_conditions_2n(
     return StructuredZeroConditions(residuals, satisfied)
 
 
-def _match_pairs(
-    zeros: Sequence[complex], a1: complex, indices: list[int], tol: float
-) -> Optional[list[tuple[int, int]]]:
-    if not indices:
-        return []
-    first, rest = indices[0], indices[1:]
-    ranked = sorted(
-        range(len(rest)),
-        key=lambda k: abs(
-            a1 + a1.conjugate() * zeros[first] * zeros[rest[k]] - zeros[first] - zeros[rest[k]]
-        ),
-    )
-    for k in ranked:
-        partner = rest[k]
-        residual = a1 + a1.conjugate() * zeros[first] * zeros[partner] - zeros[first] - zeros[partner]
-        if abs(residual) > tol:
-            break  # ranked ascending: no later partner can pass either
-        tail = _match_pairs(zeros, a1, rest[:k] + rest[k + 1 :], tol)
-        if tail is not None:
-            return [(first, partner)] + tail
-    return None
-
-
 def decompose_paired_2n(
     product: BlaschkeProduct, a1_index: int, tol: float = CONDITION_TOL
 ) -> Decomposition:
     """Decompose an even-degree canonical product through a degree-2 inner.
 
-    Inner is ``z (z - a1) / (1 - conj(a1) z)``; the outer zeros are
-    ``-p q`` over a perfect matching (p, q) of the remaining zeros found by
-    backtracking search on the pairing residuals.
+    Inner is ``z (z - a1) / (1 - conj(a1) z)``; the zeros must fall into its
+    fibers, pairs (p, q) with one image ``-p q``, which are the outer zeros.
     """
-    zeros = product.zeros
-    n = product.degree
-    if n % 2 != 0:
-        raise BadShape("paired decomposition needs even degree")
-    if not canonical_form(product).is_canonical:
-        raise BadShape("paired decomposition needs a canonical product")
-    if not 0 <= a1_index < n:
+    _require_shape(product, 2, "paired decomposition")
+    if not 0 <= a1_index < product.degree:
         raise BadShape("a1 index out of range")
-    a1 = zeros[a1_index]
+    a1 = product.zeros[a1_index]
     if abs(a1) <= ORIGIN_ZERO_TOL:
         raise ConditionsUnsatisfied("the distinguished zero a1 must be nonzero")
-    origin_index = next(
-        (i for i, z in enumerate(zeros) if i != a1_index and abs(z) <= ORIGIN_ZERO_TOL), None
-    )
-    if origin_index is None:
-        raise BadShape("no origin zero left for the canonical factor")
-    remaining = [i for i in range(n) if i not in (a1_index, origin_index)]
-    pairing = _match_pairs(zeros, a1, remaining, tol)
-    if pairing is None:
-        raise ConditionsUnsatisfied("no pairing of the remaining zeros satisfies the conditions")
     inner = BlaschkeProduct(1.0, (0j, a1))
-    outer = BlaschkeProduct(1.0, (0j,) + tuple(-zeros[i] * zeros[j] for i, j in pairing))
-    return _checked(inner, outer, product, DecompositionSource.PAIRED_ZEROS_2N)
+    return _fiber_split(product, inner, DecompositionSource.PAIRED_ZEROS_2N, tol)
 
 
 def _triple_residuals(
@@ -252,10 +233,7 @@ def check_tripled_conditions_3n(
     """Residual pairs of the two triple conditions for the caller's grouping."""
     zeros = product.zeros
     n = product.degree
-    if n % 3 != 0:
-        raise BadShape("tripled conditions need degree divisible by 3")
-    if not canonical_form(product).is_canonical:
-        raise BadShape("tripled conditions need a canonical product")
+    _require_shape(product, 3, "tripled conditions")
     used = [a1_index, a2_index]
     for t in triples:
         used.extend(t)
@@ -274,87 +252,25 @@ def check_tripled_conditions_3n(
     return StructuredZeroConditions(tuple(residuals), satisfied)
 
 
-Designation = tuple[int, int, tuple[tuple[int, int, int], ...]]
-
-
-def _match_triples(
-    zeros: Sequence[complex], a1: complex, a2: complex, indices: list[int], tol: float
-) -> Optional[list[tuple[int, int, int]]]:
-    if not indices:
-        return []
-    first, rest = indices[0], indices[1:]
-    options = []
-    for x in range(len(rest)):
-        for y in range(x + 1, len(rest)):
-            r1, r2 = _triple_residuals(a1, a2, zeros[first], zeros[rest[x]], zeros[rest[y]])
-            options.append((max(abs(r1), abs(r2)), x, y))
-    options.sort()
-    for worst, x, y in options:
-        if worst > tol:
-            break
-        tail_indices = [rest[k] for k in range(len(rest)) if k not in (x, y)]
-        tail = _match_triples(zeros, a1, a2, tail_indices, tol)
-        if tail is not None:
-            return [(first, rest[x], rest[y])] + tail
-    return None
-
-
-def decompose_tripled_3n(
-    product: BlaschkeProduct,
-    designation: Optional[Designation] = None,
-    tol: float = CONDITION_TOL,
-) -> Decomposition:
+def decompose_tripled_3n(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
     """Decompose a degree-3n canonical product through a degree-3 inner.
 
-    Inner is ``z (z - a1)(z - a2) / ((1 - conj(a1) z)(1 - conj(a2) z))``; the
-    outer zeros are the products ``t1 t2 t3`` over the triples.  Without a
-    caller-supplied designation, all choices of (a1, a2) and all partitions
-    of the remaining zeros into triples are searched.
+    Inner is ``z (z - a1)(z - a2) / ((1 - conj(a1) z)(1 - conj(a2) z))`` for
+    the first pair (a1, a2) of nonzero zeros such that all zeros fall into its
+    fibers: triples with one image ``t1 t2 t3``, which are the outer zeros.
     """
+    _require_shape(product, 3, "tripled decomposition")
     zeros = product.zeros
-    n = product.degree
-    if n % 3 != 0:
-        raise BadShape("tripled decomposition needs degree divisible by 3")
-    if not canonical_form(product).is_canonical:
-        raise BadShape("tripled decomposition needs a canonical product")
-
-    if designation is not None:
-        a1_index, a2_index, triples = designation
-        conditions = check_tripled_conditions_3n(product, a1_index, a2_index, triples, tol)
-        if not conditions.satisfied:
-            raise ConditionsUnsatisfied("designated triples violate the conditions")
-        return _build_tripled(product, a1_index, a2_index, triples)
-
-    origin_indices = [i for i, z in enumerate(zeros) if abs(z) <= ORIGIN_ZERO_TOL]
-    if not origin_indices:
-        raise BadShape("tripled decomposition needs a canonical product")
-    nonzero_indices = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
-    for origin in origin_indices:
-        rest = [i for i in range(n) if i != origin]
-        for p in range(len(rest)):
-            for q in range(p + 1, len(rest)):
-                i1, i2 = rest[p], rest[q]
-                if i1 not in nonzero_indices or i2 not in nonzero_indices:
-                    continue
-                others = [i for i in rest if i not in (i1, i2)]
-                triples = _match_triples(zeros, zeros[i1], zeros[i2], others, tol)
-                if triples is not None:
-                    return _build_tripled(product, i1, i2, tuple(triples))
-    raise ConditionsUnsatisfied("no designation of zeros satisfies the triple conditions")
-
-
-def _build_tripled(
-    product: BlaschkeProduct,
-    a1_index: int,
-    a2_index: int,
-    triples: Sequence[tuple[int, int, int]],
-) -> Decomposition:
-    zeros = product.zeros
-    inner = BlaschkeProduct(1.0, (0j, zeros[a1_index], zeros[a2_index]))
-    outer = BlaschkeProduct(
-        1.0, (0j,) + tuple(zeros[i] * zeros[j] * zeros[k] for i, j, k in triples)
+    return _search_inner_zeros(
+        product,
+        3,
+        lambda picks: _fiber_split(
+            product,
+            BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in picks)),
+            DecompositionSource.TRIPLED_ZEROS_3N,
+            tol,
+        ),
     )
-    return _checked(inner, outer, product, DecompositionSource.TRIPLED_ZEROS_3N)
 
 
 def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
@@ -385,19 +301,7 @@ def decompose_paired_search(product: BlaschkeProduct, tol: float = CONDITION_TOL
     """First paired split over the choices of the distinguished zero a1."""
     if product.degree % 2 != 0:
         raise ConditionsUnsatisfied("paired decomposition needs even degree")
-    failures: list[str] = []
-    tried = set()
-    for idx, z in enumerate(product.zeros):
-        if abs(z) <= ORIGIN_ZERO_TOL or z in tried:
-            continue
-        tried.add(z)
-        try:
-            return decompose_paired_2n(product, idx, tol)
-        except BlaschkeError as exc:
-            failures.append(f"a1 index {idx}: {exc}")
-    raise ConditionsUnsatisfied(
-        "no distinguished zero admits a pairing" + (": " + "; ".join(failures) if failures else "")
-    )
+    return _search_inner_zeros(product, 2, lambda picks: decompose_paired_2n(product, picks[0], tol))
 
 
 def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
@@ -409,7 +313,7 @@ def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Deco
     routes = (
         ("invariants", lambda: decompose_invariants_search(product)),
         ("paired", lambda: decompose_paired_search(product, tol)),
-        ("tripled", lambda: decompose_tripled_3n(product, None, tol)),
+        ("tripled", lambda: decompose_tripled_3n(product, tol)),
     )
     failures: list[str] = []
     for name, route in routes:

@@ -37,16 +37,12 @@ class NoInteriorFixedPoint(BlaschkeError):
     """The transformation has no fixed point inside the open disk."""
 
 
-class OrbitClusterError(BlaschkeError):
-    """Zero images do not cluster into groups sized by the group order."""
-
-
 class BadShape(BlaschkeError):
     """Input structure (degree, indices, pairing, document) is malformed."""
 
 
 class ConditionsUnsatisfied(BlaschkeError):
-    """The structured zero conditions fail for every admissible designation."""
+    """The zeros do not fall into full fibers of any candidate inner factor."""
 
 
 class NondegeneracyError(BlaschkeError):

@@ -17,6 +17,9 @@ from typing import Optional
 from .errors import DomainError, NormalizationError, NoSolution
 from .numerics import ComplexPolynomial, poly_roots, require_finite
 
+# Shared with products: how far a constant's modulus may stray from 1, how
+# close to the circle a zero may sit, and how far outside it a point may be
+# evaluated.
 UNIT_MODULUS_TOL = 1e-9
 OPEN_DISK_MARGIN = 1e-12
 EVAL_DOMAIN_TOL = 1e-9

@@ -130,7 +130,8 @@ def _within_cap(residual: complex, scale: float, root: complex, degree: int, lim
         return value == 0.0 or math.log(value) <= math.log(limit * scale) + degree * math.log(size)
 
 
-def _aberth(coeffs: Sequence[complex], scale: float) -> list[complex]:
+def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int]:
+    # Returns the roots and the number of sweeps run.
     n = len(coeffs) - 1
     dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
     lead = abs(coeffs[-1])
@@ -138,10 +139,10 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> list[complex]:
     # Equispaced start ring with an angular offset so symmetric inputs do not
     # trap the iteration on a symmetry axis.
     roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / n + 0.5)) for k in range(n)]
-    for _ in range(MAX_SWEEPS):
+    for sweep in range(MAX_SWEEPS):
         pvals = [_horner(coeffs, z) for z in roots]
         if all(_within_cap(v, scale, z, n, RESIDUAL_TARGET) for v, z in zip(pvals, roots)):
-            return roots
+            return roots, sweep
         new_roots = []
         max_step = 0.0
         for i, z in enumerate(roots):
@@ -166,9 +167,10 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> list[complex]:
             new_roots.append(z - step)
             max_step = max(max_step, abs(step))
         roots = new_roots
-        if max_step <= 1e-16 * (1.0 + radius):
-            break
-    return roots
+        # A NaN step leaves max_step unchanged, so test the iterates as well.
+        if max_step <= 1e-16 * (1.0 + radius) or not all(map(cmath.isfinite, roots)):
+            return roots, sweep + 1
+    return roots, MAX_SWEEPS
 
 
 def poly_roots(p: ComplexPolynomial) -> list[complex]:
@@ -177,7 +179,8 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
     Each returned root r satisfies |p(r)| <= ``RESIDUAL_LIMIT`` * max|coeff|
     * max(1, |r|)^degree; for the unit-circle-scale roots arising throughout
     this package the magnitude factor is 1.  Raises :class:`NonConvergence`
-    if the sweep cap is exhausted first.
+    if the sweeps stop first: at the cap, on stagnation or at a non-finite
+    iterate.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -190,18 +193,20 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
         roots.append(0j)
         coeffs.pop(0)
     m = len(coeffs) - 1
+    sweeps = 0
     if m == 1:
         roots.append(-coeffs[0] / coeffs[1])
     elif m == 2:
         roots.extend(_solve_quadratic(*coeffs))
     elif m >= 3:
-        roots.extend(_aberth(coeffs, scale))
+        found, sweeps = _aberth(coeffs, scale)
+        roots.extend(found)
     for r in roots:
         residual = _horner(p.coeffs, r)
         if not (cmath.isfinite(r) and _within_cap(residual, scale, r, p.degree, RESIDUAL_LIMIT)):
             raise NonConvergence(
                 f"residual {math.hypot(residual.real, residual.imag):.3e} at root {r!r}"
-                f" exceeds the bound after {MAX_SWEEPS} sweeps"
+                f" exceeds the bound after {sweeps} of at most {MAX_SWEEPS} sweeps"
             )
     return roots
 

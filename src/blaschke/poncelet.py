@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .decompose import check_paired_conditions_2n
+from .decompose import CONDITION_TOL, check_paired_conditions_2n
 from .errors import (
     BadShape,
     ConditionsUnsatisfied,
@@ -29,7 +29,6 @@ from .products import (
     blaschke_preimages,
 )
 
-CONDITION_TOL = 1e-7
 CHORD_TOL = 1e-7
 
 

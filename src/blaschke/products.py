@@ -5,14 +5,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, NonConvergence, NormalizationError
+from .moebius import EVAL_DOMAIN_TOL, OPEN_DISK_MARGIN, UNIT_MODULUS_TOL
 from .numerics import ComplexPolynomial, poly_roots, require_finite
 
-UNIT_MODULUS_TOL = 1e-9
-OPEN_DISK_MARGIN = 1e-12
-EVAL_DOMAIN_TOL = 1e-9
 ORIGIN_ZERO_TOL = 1e-12
 EQUALITY_TOL = 1e-8
 PROBE_RADIUS = 0.5
@@ -115,14 +113,24 @@ def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY
     return True
 
 
-def _recover_constant(zeros: Sequence[complex], reference: "callable") -> complex:
-    """Unimodular constant making ``prod (z-a)/(1-conj(a) z)`` match ``reference``."""
-    plain = BlaschkeProduct(1.0, tuple(zeros))
-    golden = 2 * math.pi * (math.sqrt(5) - 1) / 2
+def recover_constant(
+    zeros: Sequence[complex],
+    reference: Callable[[complex], complex],
+    inner: Optional[BlaschkeProduct] = None,
+) -> complex:
+    """Unimodular c with ``c * prod (w-a)/(1-conj(a) w) = reference(z)``, w = inner(z).
+
+    Without ``inner``, w is z.  The equation is solved at one interior probe;
+    a probe is skipped only when it sits on a zero, where a factor vanishes,
+    so a high-degree product that is merely small there still serves.
+    """
+    golden = math.pi * (math.sqrt(5) - 1)
     for k in range(64):
         probe = 0.53 * cmath.exp(1j * (0.37 + golden * k))
-        denom = blaschke_eval(plain, probe)
-        if abs(denom) <= 1e-9:
+        w = probe if inner is None else blaschke_eval(inner, probe)
+        factors = [(w - a) / (1.0 - a.conjugate() * w) for a in zeros]
+        denom = math.prod(factors)
+        if denom == 0 or min(abs(f) for f in factors) <= 1e-9:
             continue
         constant = reference(probe) / denom
         if abs(abs(constant) - 1.0) > CONSTANT_RECOVERY_TOL:
@@ -144,7 +152,7 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> Blaschke
     zeros: list[complex] = []
     for b in outer.zeros:
         zeros.extend(poly_roots(num - den.scaled(b)))
-    composed = _recover_constant(zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z)))
+    composed = recover_constant(zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z)))
     return BlaschkeProduct(composed, tuple(zeros))
 
 

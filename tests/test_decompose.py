@@ -32,7 +32,7 @@ from blaschke import (
     roundtrip_residual,
     solve_unimodular_c,
 )
-from conftest import exact_degree3_constant, multiset_close
+from conftest import exact_degree3_constant, multiset_close, random_interior
 
 
 def assert_roundtrip(dec, original):
@@ -243,6 +243,38 @@ def test_tripled_rejects_generic_degree6():
     b = BlaschkeProduct(1.0, (0j, 0.1, 0.2j, 0.3, 0.15, 0.25j))
     with pytest.raises(ConditionsUnsatisfied):
         decompose_tripled_3n(b)
+
+
+# ---------------------------------------------------------------------------
+# Both searches on compositions with shuffled zeros.
+
+
+def shuffled_composition(rng, inner_degree, outer_degree):
+    """Canonical outer ∘ inner with shuffled zeros and a repeated outer zero."""
+    inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(inner_degree - 1)))
+    others = [random_interior(rng, 0.7) for _ in range(outer_degree - 2)]
+    outer_zeros = [0j] + others + [others[0] if others else 0j]
+    composed = blaschke_compose(BlaschkeProduct(1.0, tuple(outer_zeros)), inner)
+    # outer ∘ inner is canonical; its recovered constant is 1 up to rounding.
+    assert abs(composed.constant - 1.0) <= 1e-12
+    zeros = list(composed.zeros)
+    rng.shuffle(zeros)
+    return BlaschkeProduct(1.0, tuple(zeros))
+
+
+@pytest.mark.parametrize(
+    "search, inner_degree, outer_degree",
+    [(decompose_paired_search, 2, m) for m in range(2, 21)]
+    + [(decompose_tripled_3n, 3, m) for m in range(2, 16)]
+    + [(decompose_tripled_3n, 3, 20)],
+)
+def test_search_splits_shuffled_composition(search, inner_degree, outer_degree):
+    rng = random.Random(1000 * inner_degree + outer_degree)
+    b = shuffled_composition(rng, inner_degree, outer_degree)
+    dec = search(b)
+    assert dec.inner.degree == inner_degree
+    assert dec.outer.degree == outer_degree
+    assert roundtrip_residual(dec, b) <= 1e-7
 
 
 # ---------------------------------------------------------------------------

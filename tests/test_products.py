@@ -102,6 +102,20 @@ def test_compose_degree_law():
             assert abs(blaschke_eval(composed, z) - direct) <= 1e-9
 
 
+def test_compose_high_degree_outer():
+    # The interior probe values of a degree-120 product are far below any
+    # fixed threshold; the constant is still recovered there.
+    rng = random.Random(5)
+    for _ in range(3):
+        outer = random_product(rng, 60)
+        inner = random_product(rng, 2)
+        composed = blaschke_compose(outer, inner)
+        for _ in range(5):
+            z = random_interior(rng, 0.9)
+            direct = blaschke_eval(outer, blaschke_eval(inner, z))
+            assert abs(blaschke_eval(composed, z) - direct) <= 1e-12
+
+
 def test_compose_with_identity_inner():
     rng = random.Random(31)
     identity = BlaschkeProduct(1.0, (0j,))
