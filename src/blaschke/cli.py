@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .decompose import (
@@ -87,7 +88,7 @@ def _moebius_arg(text: str) -> MoebiusTransform:
 
 
 def _read_document(path: str) -> Any:
-    data = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    data = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:

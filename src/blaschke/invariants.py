@@ -91,12 +91,20 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     """
     if samples < product.degree + 1:
         raise ValueError("need at least degree + 1 samples")
+    return max(_residual(product, m, z) for z in _oracle_points(product, samples))
+
+
+def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
     rng = random.Random(PROBE_SEED)
     pts = list(probe_points(product.degree, product.zeros))
     for _ in range(samples):
         r = 0.9 * math.sqrt(rng.random())
         pts.append(r * cmath.exp(2j * math.pi * rng.random()))
-    return max(abs(blaschke_eval(product, moebius_eval(m, z)) - blaschke_eval(product, z)) for z in pts)
+    return pts
+
+
+def _residual(product: BlaschkeProduct, m: MoebiusTransform, z: complex) -> float:
+    return abs(blaschke_eval(product, moebius_eval(m, z)) - blaschke_eval(product, z))
 
 
 def _rotation_candidates(degree: int) -> list[MoebiusTransform]:
@@ -109,32 +117,9 @@ def _params_close(a: MoebiusTransform, b: MoebiusTransform, tol: float) -> bool:
     return abs(a.c - b.c) <= tol and abs(a.alpha - b.alpha) <= tol
 
 
-def _power_matches(group: InvariantGroup, m: MoebiusTransform, tol: float) -> bool:
-    """Whether ``m`` equals some power of the group generator."""
-    current = group.generator
-    for _ in range(group.order):
-        if _params_close(current, m, tol):
-            return True
-        current = moebius_compose(current, group.generator)
-    return False
-
-
-def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL) -> tuple[InvariantGroup, ...]:
-    """All cyclic groups of invariants of a canonical product.
-
-    Candidates come from the structure of the zero set: a pure power of z is
-    only invariant under rotations by roots of unity, and otherwise any
-    invariant must send the origin-orbit around the nonzero zeros, forcing
-    the pole parameter to be a zero a_l and the constant to be -a_j / a_l
-    for a zero a_j of equal modulus.  Every candidate is vetted against the
-    pointwise invariance oracle; survivors are grouped by generator order
-    with powers of an already-found generator removed.
-    """
-    if not canonical_form(product).is_canonical:
-        raise BadShape("invariant search requires a canonical product")
+def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
+    """Distinct candidate invariants read off the zero set of ``product``."""
     n = product.degree
-    if n < 2:
-        raise BadShape("invariant search requires degree >= 2")
     nonzero = [z for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
     origin_count = n - len(nonzero)
 
@@ -164,26 +149,67 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     for cand in candidates:
         if not any(_params_close(cand, seen, 1e-9) for seen in unique):
             unique.append(cand)
+    return unique
+
+
+def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL) -> tuple[InvariantGroup, ...]:
+    """All cyclic groups of invariants of a canonical product.
+
+    Candidates come from the structure of the zero set: a pure power of z is
+    only invariant under rotations by roots of unity, and otherwise any
+    invariant must send the origin-orbit around the nonzero zeros, forcing
+    the pole parameter to be a zero a_l and the constant to be -a_j / a_l
+    for a zero a_j of equal modulus.
+
+    Candidates are ranked by order (largest first), then by the phases of c
+    and alpha.  A candidate equal to a power of an already accepted
+    generator is skipped, since it is invariant whenever the generator is.
+    Any other candidate must first keep ``|B(M(z)) - B(z)| <= tol`` at the
+    zeros of B and at the point of the oracle's probe set where |B| is
+    largest, and only then faces the full :func:`verify_invariance` oracle;
+    each accepted generator has passed it.
+    """
+    if not canonical_form(product).is_canonical:
+        raise BadShape("invariant search requires a canonical product")
+    n = product.degree
+    if n < 2:
+        raise BadShape("invariant search requires degree >= 2")
 
     identity_tol = max(IDENTITY_TOL, tol)
-    accepted: list[tuple[int, MoebiusTransform]] = []
-    for cand in unique:
+    power_tol = max(tol, 10 * identity_tol)
+    ranked = sorted(
+        ((moebius_order(cand, n, identity_tol), cand) for cand in _unique_candidates(product, tol)),
+        key=lambda item: (
+            item[0] is None,
+            -(item[0] or 0),
+            cmath.phase(item[1].c) % (2 * math.pi),
+            cmath.phase(item[1].alpha) % (2 * math.pi),
+        ),
+    )
+    # An invariant maps zeros to zeros.  Maps that (nearly) permute the zeros
+    # but are not invariant leave a residual of order |B|, which is tiny
+    # near clustered zeros; the oracle point where |B| is largest shows it.
+    loudest = max(_oracle_points(product, n + 1), key=lambda z: abs(blaschke_eval(product, z)))
+    witnesses = product.zeros + (loudest,)
+    groups: list[InvariantGroup] = []
+    powers: list[MoebiusTransform] = []
+    for order, cand in ranked:
+        consistent = order is not None and n % order == 0
+        if consistent and any(_params_close(power, cand, power_tol) for power in powers):
+            continue
+        if any(_residual(product, cand, z) > tol for z in witnesses):
+            continue
         if verify_invariance(product, cand, n + 1) > tol:
             continue
-        order = moebius_order(cand, n, identity_tol)
-        if order is None or n % order != 0:
+        if not consistent:
             warnings.warn(
                 f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}",
                 stacklevel=2,
             )
             continue
-        accepted.append((order, cand))
-
-    # Deterministic order: large groups first, then by phase of c.
-    accepted.sort(key=lambda item: (-item[0], cmath.phase(item[1].c) % (2 * math.pi), cmath.phase(item[1].alpha) % (2 * math.pi)))
-    groups: list[InvariantGroup] = []
-    for order, cand in accepted:
-        if any(_power_matches(group, cand, max(tol, 10 * identity_tol)) for group in groups):
-            continue
         groups.append(InvariantGroup(cand, order, identity_tol))
+        power = cand
+        for _ in range(order):
+            powers.append(power)
+            power = moebius_compose(power, cand)
     return tuple(groups)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+import warnings
 
 import pytest
 
@@ -18,12 +20,16 @@ from blaschke import (
     blaschke_equal,
     construct_invariant_product,
     find_invariant_group,
+    moebius_compose,
     moebius_eval,
     moebius_power,
     solve_unimodular_c,
     verify_invariance,
 )
-from conftest import DEGREE5_C, DEGREE5_ORBIT, DEGREE7_C, random_interior
+from blaschke import invariants
+from blaschke.invariants import GROUP_MATCH_TOL
+from blaschke.moebius import IDENTITY_TOL, ORBIT_DISTINCT_TOL, moebius_order
+from conftest import DEGREE5_C, DEGREE5_ORBIT, DEGREE7_C, random_interior, random_product
 
 
 def reference_solution(alpha: complex, n: int, near: complex):
@@ -199,3 +205,107 @@ def test_generator_permutes_zero_multiset():
     images = [moebius_eval(group.generator, z) for z in b.zeros]
     for image in images:
         assert min(abs(image - z) for z in b.zeros) <= 1e-7
+
+
+def vet_every_candidate(product, tol=GROUP_MATCH_TOL):
+    """Reference search: full oracle on every candidate, powers dropped last."""
+    n = product.degree
+    identity_tol = max(IDENTITY_TOL, tol)
+    accepted = []
+    for cand in invariants._unique_candidates(product, tol):
+        if verify_invariance(product, cand, n + 1) > tol:
+            continue
+        order = moebius_order(cand, n, identity_tol)
+        if order is None or n % order != 0:
+            warnings.warn(f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}")
+            continue
+        accepted.append((order, cand))
+    accepted.sort(
+        key=lambda item: (
+            -item[0],
+            cmath.phase(item[1].c) % (2 * math.pi),
+            cmath.phase(item[1].alpha) % (2 * math.pi),
+        )
+    )
+    groups = []
+    for order, cand in accepted:
+        if any(is_power(g, cand, max(tol, 10 * identity_tol)) for g in groups):
+            continue
+        groups.append(InvariantGroup(cand, order, identity_tol))
+    return tuple(groups)
+
+
+def is_power(group, m, tol):
+    current = group.generator
+    for _ in range(group.order):
+        if abs(current.c - m.c) <= tol and abs(current.alpha - m.alpha) <= tol:
+            return True
+        current = moebius_compose(current, group.generator)
+    return False
+
+
+def orbit_products():
+    """Orbit products of degree 2..30: per degree the first orbit with
+    distinct points, the first degenerate one (repeated points, admitted at
+    ``distinct_tol=0``) and the last; up to degree 12 the first also with
+    doubled zeros."""
+    alpha = 0.3 + 0.15j
+    for n in range(2, 31):
+        sols = solve_unimodular_c(alpha, n, tol=0.0)
+        distinct = [c for c, orbit in sols if orbit.min_pairwise_gap >= ORBIT_DISTINCT_TOL]
+        degenerate = [c for c, orbit in sols if orbit.min_pairwise_gap < ORBIT_DISTINCT_TOL]
+        picks = {distinct[0], sols[-1][0], *degenerate[:1]}
+        for c in sorted(picks, key=cmath.phase):
+            b = construct_invariant_product(MoebiusTransform(c, alpha), n, distinct_tol=0.0)
+            yield b
+            if c == distinct[0] and n <= 12:
+                yield BlaschkeProduct(1.0, b.zeros * 2)
+
+
+def structured_products():
+    for n in range(2, 13):
+        yield BlaschkeProduct(1.0, (0j,) * n)
+        yield BlaschkeProduct(1.0, (0j, 0j) + tuple(0.6 * cmath.exp(2j * math.pi * k / n) for k in range(n)))
+
+
+def test_search_matches_vetting_every_candidate():
+    rng = random.Random(31)
+    randoms = [BlaschkeProduct(1.0, (0j,) + random_product(rng, n).zeros) for n in range(2, 16)]
+    for b in [*orbit_products(), *structured_products(), *randoms]:
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = vet_every_candidate(b)
+        with warnings.catch_warnings(record=True) as found_warnings:
+            warnings.simplefilter("always")
+            found = find_invariant_group(b)
+        assert found == expected, f"groups differ for zeros {b.zeros}"
+        assert len(found_warnings) == len(expected_warnings)
+    assert all(find_invariant_group(b) == () for b in randoms)
+
+
+def test_search_vets_each_group_once(monkeypatch):
+    calls = []
+    oracle = invariants.verify_invariance
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(invariants, "verify_invariance", counted)
+    # Some of these products have clustered zeros with |B| tiny near them, so
+    # non-invariant order-2 candidates pass at the zeros and at radius 1/2;
+    # the oracle point where |B| is largest must reject them.
+    for c, _ in solve_unimodular_c(0.4, 20):
+        calls.clear()
+        b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
+        groups = find_invariant_group(b)
+        assert groups and groups[0].order == 20
+        assert len(calls) <= len(groups)
+
+
+def test_search_warns_on_inconsistent_order(monkeypatch):
+    monkeypatch.setattr(invariants, "moebius_order", lambda *args: None)
+    m, _ = reference_solution(0.5, 5, DEGREE5_C)
+    b = construct_invariant_product(m, 5)
+    with pytest.warns(UserWarning, match="inconsistent with degree 5"):
+        assert find_invariant_group(b) == ()
