@@ -22,7 +22,7 @@ from .decompose import (
     decompose_tripled_3n,
     roundtrip_residual,
 )
-from .errors import BadShape, BlaschkeError, ConditionsUnsatisfied
+from .errors import BadShape, BlaschkeError
 from .figures import FigureSpec, render_svg
 from .invariants import (
     construct_invariant_product,
@@ -30,13 +30,8 @@ from .invariants import (
     verify_invariance,
 )
 from .moebius import MoebiusTransform, moebius_iterate_zero, solve_unimodular_c
-from .poncelet import poncelet_ellipse
-from .products import (
-    ORIGIN_ZERO_TOL,
-    BlaschkeProduct,
-    blaschke_compose,
-    blaschke_preimages,
-)
+from .poncelet import find_poncelet_ellipse
+from .products import BlaschkeProduct, blaschke_compose, blaschke_preimages
 
 
 def _pair(z: complex) -> list[float]:
@@ -227,33 +222,9 @@ def _cmd_preimages(args) -> Any:
     return [_pair(z) for z in blaschke_preimages(product, args.lam)]
 
 
-def _select_foci(product: BlaschkeProduct, a1_index: Optional[int]) -> tuple[int, int]:
-    nonzero = [i for i, z in enumerate(product.zeros) if abs(z) > ORIGIN_ZERO_TOL]
-    if a1_index is not None:
-        foci = [i for i in nonzero if i != a1_index]
-        if len(foci) != 2:
-            raise BadShape("need exactly two nonzero zeros besides a1 for the foci")
-        return foci[0], foci[1]
-    failures = []
-    for a1 in nonzero:
-        foci = [i for i in nonzero if i != a1]
-        if len(foci) != 2:
-            continue
-        try:
-            poncelet_ellipse(product, (foci[0], foci[1]))
-            return foci[0], foci[1]
-        except BlaschkeError as exc:
-            failures.append(str(exc))
-    raise ConditionsUnsatisfied(
-        "no distinguished zero satisfies the ellipse condition"
-        + (": " + "; ".join(failures) if failures else "")
-    )
-
-
 def _cmd_poncelet(args) -> Any:
     product = _read_product(args.product)
-    foci = _select_foci(product, args.a1_index)
-    ellipse = poncelet_ellipse(product, foci)
+    ellipse = find_poncelet_ellipse(product, args.a1_index)
     return {
         "foci": [_pair(ellipse.focus1), _pair(ellipse.focus2)],
         "focal_sum": ellipse.focal_sum,
@@ -264,7 +235,7 @@ def _cmd_plot(args) -> Any:
     product = _read_product(args.product)
     ellipse = None
     if args.ellipse:
-        ellipse = poncelet_ellipse(product, _select_foci(product, None))
+        ellipse = find_poncelet_ellipse(product)
     orbit: tuple[complex, ...] = ()
     if args.moebius is not None:
         orbit = moebius_iterate_zero(args.moebius, product.degree).points

@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoConcurrentPairing
-from .poncelet import PonceletEllipse, chord_concurrency
+from .poncelet import CHORD_TOL, PonceletEllipse, _concurrent_pairing
 from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, blaschke_preimages
 
 DISK_FRACTION = 0.45  # radius in canvas units: 5% margin on each side
@@ -103,12 +102,11 @@ def render_svg(spec: FigureSpec) -> str:
             for a1 in spec.product.zeros:
                 if abs(a1) <= ORIGIN_ZERO_TOL:
                     continue
-                try:
-                    report = chord_concurrency(spec.product, a1, lam)
-                except NoConcurrentPairing:
+                report = _concurrent_pairing(pts, a1, CHORD_TOL)
+                if report is None:
                     continue
                 for i, j in report.pairing:
-                    canvas.line(report.preimages[i], report.preimages[j], "chord", "#cc3333", "4 3")
+                    canvas.line(pts[i], pts[j], "chord", "#cc3333", "4 3")
                 break
         for p in pts:
             canvas.dot(p, "preimage", "#888888")

@@ -1,9 +1,9 @@
 """Dense complex polynomials and a simultaneous root finder.
 
-Everything else in the package bottoms out here: composition equations,
-boundary preimages and interior fixed points are all solved by
+Composition equations and interior fixed points are solved by
 :func:`poly_roots`, an Aberth-Ehrlich iteration that refines all roots of a
-polynomial at once.
+polynomial at once.  Boundary preimages need no root finder: they are
+solved on the circle from the boundary phase (see ``products``).
 """
 
 from __future__ import annotations
@@ -117,23 +117,37 @@ def _solve_quadratic(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [r1, r2]
 
 
-def _within_cap(residual: complex, scale: float, root: complex, degree: int, limit: float) -> bool:
-    # Absolute residuals grow like |r|^degree at roots far outside the unit
-    # circle, so the bound is scaled by the polynomial's magnitude there.
-    try:
-        return abs(residual) <= limit * scale * max(1.0, abs(root)) ** degree
-    except OverflowError:
-        # |r|^degree (or the residual) is beyond the float range, as on the
-        # start ring of a high-degree polynomial: compare in log space.
-        value = math.hypot(residual.real, residual.imag)
-        size = max(1.0, math.hypot(root.real, root.imag))
-        return value == 0.0 or math.log(value) <= math.log(limit * scale) + degree * math.log(size)
+def _converged(
+    value: complex, root: complex, reversed_weights: Sequence[float], scale: float, limit: float
+) -> bool:
+    """Whether |p(z)| <= ``limit`` times the size of p at z.
+
+    ``value`` is p(z), ``reversed_weights`` holds |c_k| from the leading
+    coefficient down and ``scale`` is max|c_k|.  Outside the unit circle the
+    size is sum |c_k| |z|^k, the size of the terms Horner adds up; a cap of
+    max|c_k| |z|^degree there would accept points nowhere near a root when
+    the leading coefficient is tiny.  Both sides are divided by |z|^degree
+    and compared as logarithms, so neither overflows.  Inside the circle
+    the size is max|c_k|: the sum can reach (degree + 1) max|c_k| there
+    and would accept less accurate roots.
+    """
+    residual = math.hypot(value.real, value.imag)
+    size = math.hypot(root.real, root.imag)
+    if size <= 1.0:
+        return residual <= limit * scale
+    if residual == 0.0:
+        return True
+    # sum |c_k| |z|^(k - degree), finite because |z| > 1.
+    reduced = _horner(reversed_weights, 1.0 / size).real
+    degree = len(reversed_weights) - 1
+    return math.log(residual) <= math.log(limit * reduced) + degree * math.log(size)
 
 
 def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int]:
     # Returns the roots and the number of sweeps run.
     n = len(coeffs) - 1
     dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
+    weights = [abs(c) for c in reversed(coeffs)]
     lead = abs(coeffs[-1])
     radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead
     # Equispaced start ring with an angular offset so symmetric inputs do not
@@ -141,22 +155,22 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int
     roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / n + 0.5)) for k in range(n)]
     for sweep in range(MAX_SWEEPS):
         pvals = [_horner(coeffs, z) for z in roots]
-        if all(_within_cap(v, scale, z, n, RESIDUAL_TARGET) for v, z in zip(pvals, roots)):
+        done = [_converged(v, z, weights, scale, RESIDUAL_TARGET) for v, z in zip(pvals, roots)]
+        if all(done):
             return roots, sweep
         new_roots = []
-        max_step = 0.0
+        moving = False
         for i, z in enumerate(roots):
-            pv = pvals[i]
-            if _within_cap(pv, scale, z, n, RESIDUAL_TARGET):
+            if done[i]:
                 new_roots.append(z)
                 continue
             dv = _horner(dcoeffs, z)
             if dv == 0:
                 # Stationary point: nudge off it and keep sweeping.
                 new_roots.append(z + (1e-6 + 1e-6j) * (1.0 + abs(z)))
-                max_step = math.inf
+                moving = True
                 continue
-            ratio = pv / dv
+            ratio = pvals[i] / dv
             repel = 0j
             for j, w in enumerate(roots):
                 if j != i:
@@ -165,10 +179,12 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int
             denom = 1.0 - ratio * repel
             step = ratio if denom == 0 else ratio / denom
             new_roots.append(z - step)
-            max_step = max(max_step, abs(step))
+            # Stagnation is judged per iterate: a step of a huge root says
+            # nothing about whether a small one has settled.  A NaN step
+            # compares false, so the iterates are tested for finiteness too.
+            moving = moving or abs(step) > 1e-16 * (1.0 + abs(z))
         roots = new_roots
-        # A NaN step leaves max_step unchanged, so test the iterates as well.
-        if max_step <= 1e-16 * (1.0 + radius) or not all(map(cmath.isfinite, roots)):
+        if not moving or not all(map(cmath.isfinite, roots)):
             return roots, sweep + 1
     return roots, MAX_SWEEPS
 
@@ -176,11 +192,11 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int
 def poly_roots(p: ComplexPolynomial) -> list[complex]:
     """All ``degree(p)`` roots of ``p``, with multiplicity, in no fixed order.
 
-    Each returned root r satisfies |p(r)| <= ``RESIDUAL_LIMIT`` * max|coeff|
-    * max(1, |r|)^degree; for the unit-circle-scale roots arising throughout
-    this package the magnitude factor is 1.  Raises :class:`NonConvergence`
-    if the sweeps stop first: at the cap, on stagnation or at a non-finite
-    iterate.
+    Each returned root r satisfies |p(r)| <= ``RESIDUAL_LIMIT`` * max|c_k|
+    if |r| <= 1 and |p(r)| <= ``RESIDUAL_LIMIT`` * sum |c_k| |r|^k if
+    |r| > 1; the sweep stops each root at the same test with
+    ``RESIDUAL_TARGET``.  Raises :class:`NonConvergence` if the sweeps stop
+    first: at the cap, on stagnation or at a non-finite iterate.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -201,9 +217,10 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
     elif m >= 3:
         found, sweeps = _aberth(coeffs, scale)
         roots.extend(found)
+    weights = [abs(c) for c in reversed(p.coeffs)]
     for r in roots:
         residual = _horner(p.coeffs, r)
-        if not (cmath.isfinite(r) and _within_cap(residual, scale, r, p.degree, RESIDUAL_LIMIT)):
+        if not (cmath.isfinite(r) and _converged(residual, r, weights, scale, RESIDUAL_LIMIT)):
             raise NonConvergence(
                 f"residual {math.hypot(residual.real, residual.imag):.3e} at root {r!r}"
                 f" exceeds the bound after {sweeps} of at most {MAX_SWEEPS} sweeps"

@@ -12,10 +12,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 from .decompose import CONDITION_TOL, check_paired_conditions_2n
 from .errors import (
     BadShape,
+    BlaschkeError,
     ConditionsUnsatisfied,
     NoConcurrentPairing,
     NoIntersection,
@@ -88,9 +90,50 @@ def poncelet_ellipse(
     return PonceletEllipse(f1, f2, focal_sum)
 
 
+def find_poncelet_ellipse(
+    product: BlaschkeProduct, a1_index: Optional[int] = None
+) -> PonceletEllipse:
+    """The inscribed ellipse, with the distinguished zero a1 given or searched for.
+
+    The foci are the two nonzero zeros other than a1.  Without ``a1_index``
+    each nonzero zero is tried as a1, and the first whose condition holds
+    gives the ellipse.
+    """
+    nonzero = [i for i, z in enumerate(product.zeros) if abs(z) > ORIGIN_ZERO_TOL]
+    if a1_index is not None:
+        foci = [i for i in nonzero if i != a1_index]
+        if len(foci) != 2:
+            raise BadShape("need exactly two nonzero zeros besides a1 for the foci")
+        return poncelet_ellipse(product, (foci[0], foci[1]))
+    failures = []
+    for a1 in nonzero:
+        foci = [i for i in nonzero if i != a1]
+        if len(foci) != 2:
+            continue
+        try:
+            return poncelet_ellipse(product, (foci[0], foci[1]))
+        except BlaschkeError as exc:
+            failures.append(str(exc))
+    raise ConditionsUnsatisfied(
+        "no distinguished zero satisfies the ellipse condition"
+        + (": " + "; ".join(failures) if failures else "")
+    )
+
+
 def _point_line_distance(p: complex, q: complex, x: complex) -> float:
     """Perpendicular distance from ``x`` to the infinite line through p, q."""
     return abs(((x - p) * (q - p).conjugate()).imag) / abs(q - p)
+
+
+def _concurrent_pairing(
+    pts: tuple[complex, ...], a1: complex, tol: float
+) -> Optional[ChordConcurrencyReport]:
+    """The first pairing of the four points whose two chords pass within ``tol`` of ``a1``."""
+    for pairing in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        d = tuple(_point_line_distance(pts[i], pts[j], a1) for i, j in pairing)
+        if max(d) <= tol:
+            return ChordConcurrencyReport(pts, pairing, d)
+    return None
 
 
 def chord_concurrency(
@@ -107,17 +150,12 @@ def chord_concurrency(
     if product.degree != 4:
         raise BadShape("chord concurrency needs degree 4")
     a1 = require_finite(a1)
-    pts = blaschke_preimages(product, lam)
-    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-    for pairing in pairings:
-        d = tuple(
-            _point_line_distance(pts[pair[0]], pts[pair[1]], a1) for pair in pairing
+    report = _concurrent_pairing(blaschke_preimages(product, lam), a1, tol)
+    if report is None:
+        raise NoConcurrentPairing(
+            f"no chord pairing of the preimages of {lam!r} passes through {a1!r}"
         )
-        if max(d) <= tol:
-            return ChordConcurrencyReport(pts, pairing, d)
-    raise NoConcurrentPairing(
-        f"no chord pairing of the preimages of {lam!r} passes through {a1!r}"
-    )
+    return report
 
 
 def line_through_a1_property(product: BlaschkeProduct, a1: complex, theta: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -16,7 +17,19 @@ EQUALITY_TOL = 1e-8
 PROBE_RADIUS = 0.5
 PROBE_RADIUS_ALT = 0.47
 CONSTANT_RECOVERY_TOL = 1e-6
-CIRCLE_ROOT_TOL = 1e-8
+# Accepted |Phi(t) - target| at a boundary preimage, beyond the rounding
+# allowance below.  The sum of the two bounds |B(z) - lam| as well, since
+# |e^(i phi) - e^(i theta)| <= |phi - theta|.
+PREIMAGE_PHASE_TOL = 1e-10
+# Rounding allowance per unit of sum 1/|z - a| at a preimage z.  Each
+# w = 1 - a e^(-it) carries an absolute rounding error of a few eps, which
+# turns arg w by that much over |w| = |z - a|.  Rounding t, and the last
+# Newton step of at most 1e-15, move Phi by Phi' times about 5 eps, and
+# Phi' <= 2 sum 1/|z - a|.  With every zero at least d from z the allowance
+# is at most 7.1e-15 n / d, so it matters only for zeros near the circle.
+PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
+# Cap on Newton evaluations per preimage; about 4 are typical.
+PREIMAGE_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -156,23 +169,101 @@ def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> Blaschke
     return BlaschkeProduct(composed, tuple(zeros))
 
 
+def _boundary_phase(
+    terms: Sequence[tuple[float, float, float]], base: float, t: float
+) -> tuple[float, float]:
+    """Phase Phi(t) of B(e^(it)), continuous in t, and Phi'(t) > 0.
+
+    ``terms`` holds (Re a, Im a, 1 - |a|^2) per zero and ``base`` is arg c.
+    Each factor is e^(it) w / conj(w) with w = 1 - a e^(-it), whose real
+    part is positive, so arg w needs no unwrapping.
+    """
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    phase, speed = base + len(terms) * t, 0.0
+    for re, im, weight in terms:
+        w_re = 1.0 - re * cos_t - im * sin_t
+        w_im = re * sin_t - im * cos_t
+        phase += 2.0 * math.atan2(w_im, w_re)
+        speed += weight / (w_re * w_re + w_im * w_im)
+    return phase, speed
+
+
+def _solve_phase(
+    terms: Sequence[tuple[float, float, float]],
+    base: float,
+    target: float,
+    lo: float,
+    hi: float,
+    t: float,
+) -> tuple[float, float, float]:
+    """Newton on Phi(t) = target from t in the bracket [lo, hi]: (t, Phi - target, Phi').
+
+    A start outside the bracket, a step that leaves it or a step longer than
+    half of it is replaced by bisection, so the bracket shrinks and Newton
+    cannot cycle between its ends.  Stops at a phase error within the
+    rounding of the phase sum, at a step of at most 1e-15 or when the
+    bracket is down to adjacent floats.
+    """
+    rounding = 2.0 * sys.float_info.epsilon * (abs(target) + 2.0 * math.pi * len(terms))
+    if not lo <= t <= hi:
+        t = 0.5 * (lo + hi)
+    for _ in range(PREIMAGE_MAX_STEPS):
+        phase, speed = _boundary_phase(terms, base, t)
+        error = phase - target
+        if error < 0.0:
+            lo = t
+        else:
+            hi = t
+        step = error / speed
+        if abs(error) <= rounding or abs(step) <= 1e-15:
+            break
+        nxt = t - step
+        if not lo < nxt < hi or abs(step) > 0.5 * (hi - lo):
+            nxt = 0.5 * (lo + hi)
+        if nxt == t:
+            break
+        t = nxt
+    return t, error, speed
+
+
 def blaschke_preimages(product: BlaschkeProduct, lam: complex) -> tuple[complex, ...]:
     """The ``degree`` boundary solutions of ``B(z) = lam``, sorted by argument.
 
-    Each root is projected onto the unit circle exactly; a root further than
-    ``CIRCLE_ROOT_TOL`` from the circle signals a numeric failure.
+    B(e^(it)) = e^(i Phi(t)), where Phi(t) = arg c + n t + 2 sum arg(1 - a e^(-it))
+    increases by 2 pi n over one turn, with Phi'(t) = sum (1 - |a|^2)/|1 - a e^(-it)|^2
+    (Garcia, Mashreghi and Ross, *Finite Blaschke Products and Their
+    Connections*, 2018).  The solutions are the t in [0, 2 pi) with
+    Phi(t) = arg lam + 2 pi k, one per k.  Each is found by safeguarded
+    Newton, started one predicted turn past the previous solution, which is
+    also the low end of its bracket.  The points lie on the circle by
+    construction.
+    Raises :class:`NonConvergence` when a phase error |Phi(t) - target|
+    exceeds ``PREIMAGE_PHASE_TOL`` plus ``PREIMAGE_ROUNDING`` * sum 1/|z - a|,
+    the rounding error of Phi at t.  That sum bounds ``|B(z) - lam|`` too.
+    The rounding term is large only next to a zero near the circle, where B
+    is so steep that no double z does better.
     """
     lam = require_finite(lam)
     if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
         raise DomainError(f"|lambda| = {abs(lam)!r} is not within {UNIT_MODULUS_TOL} of 1")
-    num, den = _numerator_denominator(product)
-    roots = poly_roots(num - den.scaled(lam))
-    if len(roots) != product.degree:
-        raise NonConvergence("preimage equation lost degree")
-    projected = []
-    for r in roots:
-        if abs(abs(r) - 1.0) > CIRCLE_ROOT_TOL:
-            raise NonConvergence(f"preimage {r!r} is off the unit circle")
-        projected.append(r / abs(r))
-    projected.sort(key=lambda z: math.atan2(z.imag, z.real))
-    return tuple(projected)
+    terms = [(a.real, a.imag, 1.0 - abs(a) ** 2) for a in product.zeros]
+    base = math.atan2(product.constant.imag, product.constant.real)
+    theta, turn = math.atan2(lam.imag, lam.real), 2.0 * math.pi
+    phase, speed = _boundary_phase(terms, base, 0.0)
+    first = math.ceil((phase - theta) / turn)
+    t, guess = 0.0, (theta + turn * first - phase) / speed
+    points = []
+    for k in range(first, first + product.degree):
+        t, error, speed = _solve_phase(terms, base, theta + turn * k, t, turn, guess)
+        if not abs(error) <= PREIMAGE_PHASE_TOL:
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            reach = sum(1.0 / math.hypot(cos_t - re, sin_t - im) for re, im, _ in terms)
+            bound = PREIMAGE_PHASE_TOL + PREIMAGE_ROUNDING * reach
+            if not abs(error) <= bound:
+                raise NonConvergence(
+                    f"boundary phase error {abs(error):.3e} at t = {t!r} exceeds {bound:.3e}"
+                )
+        points.append(complex(math.cos(t), math.sin(t)))
+        guess = t + turn / speed
+    points.sort(key=lambda z: math.atan2(z.imag, z.real))
+    return tuple(points)

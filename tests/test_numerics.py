@@ -80,6 +80,31 @@ def test_roots_never_overflow_at_high_degree():
     assert len(roots) == p.degree
 
 
+def test_roots_with_tiny_leading_coefficient():
+    # 1e-12 z^4 + 1.5 z^3 + 1 has one root near -1.5e12 and the three cube
+    # roots of -2/3.  Judged only against the |z|^degree cap, the sweep took
+    # a second point of modulus 1.5e12 in place of -0.87358.
+    roots = poly_roots(ComplexPolynomial([1j, 0, 0, 1.5j, 1e-12j]))
+    large = [r for r in roots if abs(r) > 2.0]
+    assert len(large) == 1
+    assert abs(large[0] / -1.5e12 - 1.0) <= 1e-9
+    cube_roots = [(2 / 3) ** (1 / 3) * cmath.exp(1j * math.pi * (2 * k + 1) / 3) for k in range(3)]
+    assert multiset_close([r for r in roots if abs(r) <= 2.0], cube_roots, 1e-9)
+
+
+def test_roots_outside_the_circle_at_high_degree():
+    # 1 + z/R + ... + (z/R)^120 vanishes at R w for the 121st roots of unity
+    # w != 1, just outside the circle.  Every term has size 1 there, so
+    # sum |c_k| |r|^k = 121 is about 107 times max|c_k| |r|^120.
+    radius, degree = 1.001, 120
+    p = ComplexPolynomial([radius**-k for k in range(degree + 1)])
+    roots = poly_roots(p)
+    expected = [radius * cmath.exp(2j * math.pi * j / (degree + 1)) for j in range(1, degree + 1)]
+    assert multiset_close(roots, expected, 1e-9)
+    for r in roots:
+        assert abs(poly_eval(p, r)) <= 1e-10 * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
+
+
 def test_roots_degree_zero_rejected():
     with pytest.raises(ValueError):
         poly_roots(ComplexPolynomial([1.0]))

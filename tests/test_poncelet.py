@@ -19,6 +19,7 @@ from blaschke import (
     chord_concurrency,
     check_paired_conditions_2n,
     circle_through_pole_property,
+    find_poncelet_ellipse,
     line_through_a1_property,
     poncelet_ellipse,
 )
@@ -153,3 +154,12 @@ def test_circle_property_intersections_on_both_circles(poncelet_product):
 def test_circle_property_requires_nonzero_a1(poncelet_product):
     with pytest.raises(ValueError):
         circle_through_pole_property(poncelet_product, 0.0, 0.0)
+
+
+def test_find_ellipse_searches_for_a1(poncelet_product):
+    assert find_poncelet_ellipse(poncelet_product) == poncelet_ellipse(poncelet_product, (2, 3))
+    assert find_poncelet_ellipse(poncelet_product, 1) == poncelet_ellipse(poncelet_product, (2, 3))
+    with pytest.raises(BadShape):
+        find_poncelet_ellipse(BlaschkeProduct(1.0, (0j, 0j, 0.5, 0.3)), 2)
+    with pytest.raises(ConditionsUnsatisfied):
+        find_poncelet_ellipse(BlaschkeProduct(1.0, (0j, 0.1, 0.2, 0.3)))

@@ -7,7 +7,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import blaschke.products
 from blaschke import (
     BlaschkeProduct,
     DomainError,
@@ -17,7 +20,9 @@ from blaschke import (
     blaschke_eval,
     blaschke_preimages,
     canonical_form,
+    construct_invariant_product,
     moebius_eval,
+    solve_unimodular_c,
 )
 from conftest import multiset_close, random_interior, random_product
 
@@ -150,8 +155,6 @@ def test_equal_random_pairs_differ():
 def test_equal_between_product_and_its_composition_with_invariant():
     # Degree-5 product built on the orbit of its invariant map compares equal
     # to its own precomposition with that map.
-    from blaschke import construct_invariant_product, solve_unimodular_c
-
     (c, _), *_ = [
         s for s in solve_unimodular_c(0.5, 5) if abs(s[0] - (-0.856763 - 0.515711j)) <= 1e-4
     ]
@@ -207,3 +210,85 @@ def test_preimages_contract():
 def test_preimages_lambda_must_be_unimodular():
     with pytest.raises(DomainError):
         blaschke_preimages(BlaschkeProduct(1.0, (0j,)), 0.5)
+
+
+def assert_preimages(b: BlaschkeProduct, lam: complex, pts, rounding: float = 0.0) -> None:
+    """n points on the circle with strictly increasing arguments and B = lam.
+
+    |B(z) - lam| may exceed 1e-10 n by ``rounding`` * sum 1/|z - a|: next to
+    a zero a near the circle B turns so fast that no double z does better.
+    """
+    assert len(pts) == b.degree
+    args = [math.atan2(p.imag, p.real) for p in pts]
+    assert all(x < y for x, y in zip(args, args[1:]))
+    for p in pts:
+        assert abs(abs(p) - 1.0) <= 1e-15
+        allowance = rounding * sum(1.0 / abs(p - a) for a in b.zeros)
+        assert abs(blaschke_eval(b, p) - lam) <= 1e-10 * b.degree + allowance
+
+
+@st.composite
+def boundary_problems(draw):
+    """A product of degree 2-100 with |zeros| <= 0.95 and a target on the circle.
+
+    Fewer drawn zeros than the degree are repeated cyclically, so many
+    examples have zeros of multiplicity two or more.
+    """
+    degree = draw(st.integers(2, 100))
+    drawn = draw(
+        st.lists(st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 1.0)), min_size=1, max_size=degree)
+    )
+    zeros = [r * cmath.exp(2j * math.pi * t) for r, t in drawn]
+    constant = cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+    product = BlaschkeProduct(constant, tuple(zeros[k % len(zeros)] for k in range(degree)))
+    return product, cmath.exp(2j * math.pi * draw(st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_problems())
+def test_preimages_property(problem):
+    b, lam = problem
+    assert_preimages(b, lam, blaschke_preimages(b, lam))
+
+
+@pytest.mark.parametrize("degree", [16, 20])
+def test_preimages_of_orbit_product(degree):
+    # The first alpha = 0.5 orbit product has zeros clustered towards the
+    # circle, where preimages crowd together.
+    c = solve_unimodular_c(0.5, degree)[0][0]
+    b = construct_invariant_product(MoebiusTransform(c, 0.5), degree)
+    assert_preimages(b, 1.0, blaschke_preimages(b, 1.0))
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-11])
+def test_preimages_next_to_a_zero_near_the_circle(gap):
+    # Within a few gaps of e^i the phase turns at up to 2 / gap per radian,
+    # so a preimage there has a phase error far above 1e-10 at every double.
+    near = (1.0 - gap) * cmath.exp(1j)
+    for zeros in [(near,), (near, 0.3 - 0.2j, -0.5j, 0.6), (near, near, -0.7 + 0.1j)]:
+        b = BlaschkeProduct(1.0, zeros)
+        for offset in (0.0, 0.5 * gap, 3.0 * gap, 300.0 * gap, 1e-3, 2.0):
+            lam = blaschke_eval(b, cmath.exp(1j * (1.0 + offset)))
+            lam /= abs(lam)
+            assert_preimages(b, lam, blaschke_preimages(b, lam), rounding=1e-14)
+
+
+def test_preimages_newton_cannot_cycle():
+    # A Newton step that only has to stay inside the bracket cycles between
+    # its ends here; the step must also be at most half the bracket.
+    b = BlaschkeProduct(1.0, (-0.14039 + 0.31112j, 0.39422 - 0.57265j, 0j, -0.40838 + 0.73046j))
+    lam = 0.20660 + 0.97843j
+    lam /= abs(lam)
+    assert_preimages(b, lam, blaschke_preimages(b, lam))
+
+
+def test_preimages_need_no_root_finder(monkeypatch):
+    def no_roots(p):
+        raise AssertionError("blaschke_preimages called poly_roots")
+
+    monkeypatch.setattr(blaschke.products, "poly_roots", no_roots)
+    rng = random.Random(61)
+    for degree in (1, 4, 16, 40):
+        b = random_product(rng, degree)
+        lam = cmath.exp(2j * math.pi * rng.random())
+        assert_preimages(b, lam, blaschke_preimages(b, lam))
