@@ -8,7 +8,10 @@ Ross, *Finite Blaschke Products and Their Connections*, 2018).  The inner
 factor comes from an invariant group, ``((z - g)/(1 - conj(g) z))^k`` at the
 generator's interior fixed point g, or, for a canonical product, from one or
 two nonzero zeros: ``z (z - a1)/(1 - conj(a1) z)`` and its degree-3 analogue.
-The paper's paired and tripled zero conditions are Vieta's formulas for such
+The paired and tripled searches need no choice of zeros: B's boundary
+preimages of 1 fall into the fibers of any inner factor in a fixed cyclic
+pattern, which gives the only candidate of each degree directly.  The
+paper's paired and tripled zero conditions are Vieta's formulas for such
 fibers; :func:`check_paired_conditions_2n` and
 :func:`check_tripled_conditions_3n` evaluate them for a grouping the caller
 supplies.  The ``tol`` of the paired and tripled routes bounds, times the
@@ -19,8 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import (
     BadShape,
@@ -31,12 +33,14 @@ from .errors import (
 )
 from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
+from .numerics import ComplexPolynomial, poly_roots
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
     blaschke_compose,
     blaschke_equal,
     blaschke_eval,
+    blaschke_preimages,
     canonical_form,
     probe_points,
     recover_constant,
@@ -123,27 +127,44 @@ def _require_shape(product: BlaschkeProduct, d: int, what: str) -> None:
         raise BadShape(f"{what}: the product must be canonical")
 
 
-def _search_inner_zeros(
-    product: BlaschkeProduct, d: int, attempt: Callable[[tuple[int, ...]], Decomposition]
+def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
+    """The inner factor D of degree d, D(0) = 0 and constant 1, that B would factor through.
+
+    If B = C ∘ D, the boundary preimages of 1 under B, sorted by argument,
+    pass C's m = n/d preimages of 1 in the same cyclic order on each of D's
+    d turns, so each class ``pts[j::m]`` is a fiber of D and D is unique.
+    With F_j the monic polynomial on class j and mu = F_0(0)/F_1(0), where
+    |F_1(0)| = 1, F_0 - mu F_1 is a multiple of D's numerator.  Its constant
+    term vanishes with D(0), and the rest has D's other zeros as roots.
+    C(0) = C(D(0)) = B(0) = 0, so these are zeros of B: each root is snapped
+    to the nearest one, and the inner factor lists them in index order.
+    Whether B factors through the result is left to the fiber split.
+    """
+    zeros, n = product.zeros, product.degree
+    m = n // d
+    if m == 1:
+        picks = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
+    else:
+        pts = blaschke_preimages(product, 1.0)
+        f0 = ComplexPolynomial.from_roots(pts[0::m])
+        f1 = ComplexPolynomial.from_roots(pts[1::m])
+        pencil = ComplexPolynomial((f0 - f1.scaled(f0(0j) / f1(0j))).coeffs[1:])
+        roots = poly_roots(pencil) if pencil.degree == d - 1 else []
+        picks = [min(range(n), key=lambda i: abs(zeros[i] - root)) for root in roots]
+    if len(picks) != d - 1 or any(abs(zeros[i]) <= ORIGIN_ZERO_TOL for i in picks):
+        raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} nonzero zero(s) of B")
+    return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
+
+
+def _split_through_degree(
+    product: BlaschkeProduct, d: int, source: DecompositionSource, tol: float
 ) -> Decomposition:
-    # One attempt per distinct multiset of d - 1 nonzero zeros, in index order.
-    zeros = product.zeros
-    nonzero = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
-    tried = set()
-    last = ""
-    for picks in combinations(nonzero, d - 1):
-        values = tuple(sorted((zeros[i] for i in picks), key=lambda z: (z.real, z.imag)))
-        if values in tried:
-            continue
-        tried.add(values)
-        try:
-            return attempt(picks)
-        except BlaschkeError as exc:
-            last = f"; last, zero indices {picks}: {exc}"
-    raise ConditionsUnsatisfied(
-        f"no inner factor on 0 and {d - 1} nonzero zero(s) has all zeros in its fibers"
-        f" ({len(tried)} tried{last})"
-    )
+    try:
+        return _fiber_split(product, _inner_from_fibers(product, d), source, tol)
+    except BlaschkeError as exc:
+        raise ConditionsUnsatisfied(
+            f"no inner factor of degree {d} has all zeros in its fibers: {exc}"
+        ) from exc
 
 
 def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) -> Decomposition:
@@ -256,21 +277,12 @@ def decompose_tripled_3n(product: BlaschkeProduct, tol: float = CONDITION_TOL) -
     """Decompose a degree-3n canonical product through a degree-3 inner.
 
     Inner is ``z (z - a1)(z - a2) / ((1 - conj(a1) z)(1 - conj(a2) z))`` for
-    the first pair (a1, a2) of nonzero zeros such that all zeros fall into its
-    fibers: triples with one image ``t1 t2 t3``, which are the outer zeros.
+    nonzero zeros a1, a2 of B read off B's boundary fibers; all zeros must
+    fall into its fibers, triples with one image ``t1 t2 t3``, which are the
+    outer zeros.  Raises :class:`ConditionsUnsatisfied` when they do not.
     """
     _require_shape(product, 3, "tripled decomposition")
-    zeros = product.zeros
-    return _search_inner_zeros(
-        product,
-        3,
-        lambda picks: _fiber_split(
-            product,
-            BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in picks)),
-            DecompositionSource.TRIPLED_ZEROS_3N,
-            tol,
-        ),
-    )
+    return _split_through_degree(product, 3, DecompositionSource.TRIPLED_ZEROS_3N, tol)
 
 
 def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
@@ -298,10 +310,16 @@ def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
 
 
 def decompose_paired_search(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
-    """First paired split over the choices of the distinguished zero a1."""
+    """Paired split with the distinguished zero a1 read off B's boundary fibers.
+
+    Raises :class:`ConditionsUnsatisfied` when the degree is odd, the product
+    is not canonical or its zeros do not fall into the fibers of that inner.
+    """
     if product.degree % 2 != 0:
         raise ConditionsUnsatisfied("paired decomposition needs even degree")
-    return _search_inner_zeros(product, 2, lambda picks: decompose_paired_2n(product, picks[0], tol))
+    if not canonical_form(product).is_canonical:
+        raise ConditionsUnsatisfied("paired decomposition needs a canonical product")
+    return _split_through_degree(product, 2, DecompositionSource.PAIRED_ZEROS_2N, tol)
 
 
 def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:

@@ -189,15 +189,21 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     # An invariant maps zeros to zeros.  Maps that (nearly) permute the zeros
     # but are not invariant leave a residual of order |B|, which is tiny
     # near clustered zeros; the oracle point where |B| is largest shows it.
-    loudest = max(_oracle_points(product, n + 1), key=lambda z: abs(blaschke_eval(product, z)))
-    witnesses = product.zeros + (loudest,)
+    # It is found only once a candidate passes the zeros, which most fail.
+    loudest = None
     groups: list[InvariantGroup] = []
     powers: list[MoebiusTransform] = []
     for order, cand in ranked:
         consistent = order is not None and n % order == 0
         if consistent and any(_params_close(power, cand, power_tol) for power in powers):
             continue
-        if any(_residual(product, cand, z) > tol for z in witnesses):
+        if any(_residual(product, cand, z) > tol for z in product.zeros):
+            continue
+        if loudest is None:
+            loudest = max(
+                _oracle_points(product, n + 1), key=lambda z: abs(blaschke_eval(product, z))
+            )
+        if _residual(product, cand, loudest) > tol:
             continue
         if verify_invariance(product, cand, n + 1) > tol:
             continue

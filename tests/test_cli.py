@@ -198,6 +198,17 @@ def test_condition_error_exit_code(capsys, tmp_path):
     assert json.loads(captured.err)["error"] == "ConditionsUnsatisfied"
 
 
+def test_decompose_paired_search_error_name(capsys, tmp_path):
+    # Not canonical: no paired split exists, which is not a shape error.
+    doc = {"constant": [1.0, 0.0], "zeros": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]]}
+    path = tmp_path / "noncanonical.json"
+    path.write_text(json.dumps(doc))
+    code = run(["decompose", "--product", str(path), "--method", "paired"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "ConditionsUnsatisfied"
+
+
 @pytest.mark.parametrize("n", [5, 7, 11])
 def test_decompose_invariants_prime_degree_fails(capsys, tmp_path, n):
     c = run_json(capsys, ["solve-c", "--alpha", "0.5,0", "--degree", str(n)])[0]["c"]

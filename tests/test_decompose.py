@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from blaschke import (
     BadShape,
+    BlaschkeError,
     BlaschkeProduct,
     ConditionsUnsatisfied,
     DecompositionError,
@@ -32,6 +34,8 @@ from blaschke import (
     roundtrip_residual,
     solve_unimodular_c,
 )
+from blaschke.decompose import _fiber_split, _inner_from_fibers
+from blaschke.products import ORIGIN_ZERO_TOL
 from conftest import exact_degree3_constant, multiset_close, random_interior
 
 
@@ -249,14 +253,20 @@ def test_tripled_rejects_generic_degree6():
 # Both searches on compositions with shuffled zeros.
 
 
-def shuffled_composition(rng, inner_degree, outer_degree):
-    """Canonical outer ∘ inner with shuffled zeros and a repeated outer zero."""
-    inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(inner_degree - 1)))
+def shuffled_composition(rng, inner_degree, outer_degree, radius=0.8, constant_tol=1e-12):
+    """Canonical outer ∘ inner with shuffled zeros and a repeated outer zero.
+
+    The inner zeros other than 0 lie in the disk of the given radius, and
+    the constant recovered by the composition is within ``constant_tol`` of 1.
+    """
+    inner = BlaschkeProduct(
+        1.0, (0j,) + tuple(random_interior(rng, radius) for _ in range(inner_degree - 1))
+    )
     others = [random_interior(rng, 0.7) for _ in range(outer_degree - 2)]
     outer_zeros = [0j] + others + [others[0] if others else 0j]
     composed = blaschke_compose(BlaschkeProduct(1.0, tuple(outer_zeros)), inner)
     # outer ∘ inner is canonical; its recovered constant is 1 up to rounding.
-    assert abs(composed.constant - 1.0) <= 1e-12
+    assert abs(composed.constant - 1.0) <= constant_tol
     zeros = list(composed.zeros)
     rng.shuffle(zeros)
     return BlaschkeProduct(1.0, tuple(zeros))
@@ -275,6 +285,116 @@ def test_search_splits_shuffled_composition(search, inner_degree, outer_degree):
     assert dec.inner.degree == inner_degree
     assert dec.outer.degree == outer_degree
     assert roundtrip_residual(dec, b) <= 1e-7
+
+
+# The constant recovered for these compositions, of higher degree or with
+# zeros nearer the circle than above, is up to 2e-11 off 1.
+LOOSE_CONSTANT_TOL = 1e-10
+
+
+def random_canonical(rng, degree):
+    return BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(degree - 1)))
+
+
+def searched_inner_zeros(product, d, source):
+    """Inner zeros by the search the fiber construction replaced, as its reference.
+
+    One fiber split per distinct multiset of d - 1 nonzero zeros of B, in
+    index order; the first that succeeds gives the inner factor.
+    """
+    zeros = product.zeros
+    nonzero = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
+    tried = set()
+    for picks in combinations(nonzero, d - 1):
+        values = tuple(sorted((zeros[i] for i in picks), key=lambda z: (z.real, z.imag)))
+        if values in tried:
+            continue
+        tried.add(values)
+        inner = BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in picks))
+        try:
+            return _fiber_split(product, inner, source).inner.zeros
+        except BlaschkeError:
+            pass
+    raise ConditionsUnsatisfied(f"none of {len(tried)} inner factors splits the product")
+
+
+@pytest.mark.parametrize(
+    "search, d, source",
+    [
+        (decompose_paired_search, 2, DecompositionSource.PAIRED_ZEROS_2N),
+        (decompose_tripled_3n, 3, DecompositionSource.TRIPLED_ZEROS_3N),
+    ],
+)
+def test_fiber_construction_matches_zero_search(search, d, source):
+    rng = random.Random(800 + d)
+    products = [
+        shuffled_composition(rng, d, m, radius, LOOSE_CONSTANT_TOL)
+        for m, radius in ((1, 0.99), (2, 0.99), (3, 0.95), (5, 0.99), (8, 0.9), (60 // d, 0.99))
+    ]
+    products += [random_canonical(rng, degree) for degree in (6, 6, 12, 12)]
+    for b in products:
+        try:
+            expected = searched_inner_zeros(b, d, source)
+        except BlaschkeError as exc:
+            expected = type(exc)
+        try:
+            found = search(b).inner.zeros
+        except BlaschkeError as exc:
+            found = type(exc)
+        assert found == expected
+
+
+def test_fiber_construction_keeps_double_inner_zero():
+    # The two copies of the double zero differ by rounding in B; each must
+    # stay its own zero of the inner factor, as the search chose them.
+    a = 0.6 + 0.2j
+    inner = BlaschkeProduct(1.0, (0j, a, a))
+    zeros = list(blaschke_compose(BlaschkeProduct(1.0, (0j, 0.3 - 0.2j, -0.4j)), inner).zeros)
+    zeros[zeros.index(a)] += 1e-9
+    random.Random(3).shuffle(zeros)
+    b = BlaschkeProduct(1.0, tuple(zeros))
+    expected = searched_inner_zeros(b, 3, DecompositionSource.TRIPLED_ZEROS_3N)
+    assert decompose_tripled_3n(b).inner.zeros == expected
+    assert abs(expected[1] - expected[2]) == pytest.approx(1e-9)
+
+
+def test_one_fiber_split_per_search(monkeypatch):
+    splits = []
+
+    def counted(*args, **kwargs):
+        splits.append(args[1])
+        return _fiber_split(*args, **kwargs)
+
+    monkeypatch.setattr("blaschke.decompose._fiber_split", counted)
+    rng = random.Random(27)
+    for search, d, m in ((decompose_tripled_3n, 3, 9), (decompose_paired_search, 2, 12)):
+        splits.clear()
+        search(shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL))
+        assert len(splits) == 1
+        splits.clear()
+        with pytest.raises(ConditionsUnsatisfied):
+            search(random_canonical(rng, d * m))
+        assert len(splits) <= 1
+
+
+@pytest.mark.parametrize("d", [4, 5, 7])
+def test_inner_from_fibers_any_degree(d):
+    rng = random.Random(900 + d)
+    for m in (2, 3, 4):
+        b = shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL)
+        inner = _inner_from_fibers(b, d)
+        assert inner.degree == d
+        dec = _fiber_split(b, inner, DecompositionSource.TRIPLED_ZEROS_3N)
+        assert dec.outer.degree == m
+        assert roundtrip_residual(dec, b) <= 1e-7
+
+
+@pytest.mark.parametrize("search", [decompose_paired_search, decompose_tripled_3n])
+@pytest.mark.parametrize("degree", [6, 12])
+def test_search_rejects_random_canonical_product(search, degree):
+    # A pencil root outside the disk must not surface as ValueError.
+    with pytest.raises(ConditionsUnsatisfied):
+        search(random_canonical(random.Random(degree), degree))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +461,13 @@ def test_paired_search_reports_conditions_unsatisfied():
         decompose_paired_search(BlaschkeProduct(1.0, (0j, 0.1, 0.2, 0.3)))
     with pytest.raises(ConditionsUnsatisfied):
         decompose_paired_search(orbit_product(5))
+    # Not canonical, so no inner factor fits; the shape is not the error.
+    for b in (
+        BlaschkeProduct(1.0, (0.1, 0.2, 0.3, 0.4)),
+        BlaschkeProduct(1j, (0j, 0.1, 0.2, 0.3)),
+    ):
+        with pytest.raises(ConditionsUnsatisfied):
+            decompose_paired_search(b)
 
 
 def test_auto_propagates_programming_errors(monkeypatch, degree4_case_b_product):
