@@ -71,6 +71,12 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected RE,IM but got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer but got {text!r}")
+    return int(text)
+
+
 def _moebius_arg(text: str) -> MoebiusTransform:
     try:
         cre, cim, are, aim = (float(x) for x in text.split(","))
@@ -156,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ellipse", action="store_true", help="overlay the inscribed ellipse")
     p.add_argument("--moebius", type=_moebius_arg, default=None, metavar="CRE,CIM,ARE,AIM",
                    help="overlay the orbit of 0 under this transformation")
-    p.add_argument("--canvas", type=int, default=640)
+    p.add_argument("--canvas", type=_positive_int, default=640)
     p.add_argument("--out", required=True, metavar="FILE.svg")
 
     return parser
@@ -191,6 +197,8 @@ def _cmd_verify(args) -> Any:
 
 
 def _cmd_decompose(args) -> Any:
+    if args.a1_index is not None and args.method != "paired":
+        raise BadShape("--a1-index applies only to --method paired")
     product = _read_product(args.product)
     if args.method == "auto":
         dec = decompose_auto(product, args.tol)

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, NormalizationError, NoSolution
-from .numerics import ComplexPolynomial, poly_roots, require_finite
+from .numerics import ComplexPolynomial, _solve_quadratic, require_finite
 
 # Shared with products: how far a constant's modulus may stray from 1, how
 # close to the circle a zero may sit, and how far outside it a point may be
@@ -171,8 +171,8 @@ def moebius_fixed_point_in_disk(m: MoebiusTransform) -> Optional[complex]:
         raise ValueError("the identity fixes every point")
     if m.alpha == 0:
         return 0j
-    quad = ComplexPolynomial([-m.c * m.alpha, m.c - 1.0, m.alpha.conjugate()])
-    interior = [z for z in poly_roots(quad) if abs(z) <= 1.0 - 1e-9]
+    roots = _solve_quadratic(-m.c * m.alpha, m.c - 1.0, m.alpha.conjugate())
+    interior = [z for z in roots if abs(z) <= 1.0 - 1e-9]
     if not interior:
         return None
     return min(interior, key=abs)

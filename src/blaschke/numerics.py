@@ -1,9 +1,9 @@
 """Dense complex polynomials and a simultaneous root finder.
 
-Composition equations and interior fixed points are solved by
+Composition equations and decomposition fiber pencils are solved by
 :func:`poly_roots`, an Aberth-Ehrlich iteration that refines all roots of a
-polynomial at once.  Boundary preimages need no root finder: they are
-solved on the circle from the boundary phase (see ``products``).
+polynomial at once.  Fixed points solve a quadratic in closed form; boundary
+preimages are solved on the circle from the boundary phase (see ``products``).
 """
 
 from __future__ import annotations
@@ -80,11 +80,6 @@ class ComplexPolynomial:
 
     def scaled(self, factor: complex) -> "ComplexPolynomial":
         return ComplexPolynomial([factor * c for c in self.coeffs])
-
-    def derivative(self) -> "ComplexPolynomial":
-        if len(self.coeffs) == 1:
-            return ComplexPolynomial([0j])
-        return ComplexPolynomial([k * c for k, c in enumerate(self.coeffs) if k > 0])
 
     @classmethod
     def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "ComplexPolynomial":

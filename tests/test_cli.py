@@ -223,6 +223,24 @@ def test_decompose_invariants_prime_degree_fails(capsys, tmp_path, n):
     assert json.loads(captured.err)["error"] == "DecompositionError"
 
 
+def test_decompose_auto_rejects_trivial_split(capsys, tmp_path):
+    # Degree 2 factors only as (degree-1 outer) ∘ B itself.
+    doc = {"constant": [1.0, 0.0], "zeros": [[0.0, 0.0], [0.3, 0.1]]}
+    path = tmp_path / "degree2.json"
+    path.write_text(json.dumps(doc))
+    code = run(["decompose", "--product", str(path), "--method", "auto"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "DecompositionError"
+
+
+def test_decompose_a1_index_needs_paired_method(capsys, degree6_doc):
+    code = run(["decompose", "--product", degree6_doc, "--method", "auto", "--a1-index", "99"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "BadShape"
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["solve-c", "--degree", "5"]) == 2
     capsys.readouterr()
@@ -276,6 +294,15 @@ def test_plot_deterministic(capsys, poncelet_doc, tmp_path):
                     "--out", str(target)]) == 0
         capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("canvas", ["-5", "0", "wide"])
+def test_plot_rejects_nonpositive_canvas(capsys, poncelet_doc, tmp_path, canvas):
+    out_path = tmp_path / "figure.svg"
+    code = run(["plot", "--product", poncelet_doc, "--canvas", canvas, "--out", str(out_path)])
+    capsys.readouterr()
+    assert code == 2
+    assert not out_path.exists()
 
 
 def test_plot_orbit_overlay(capsys, tmp_path):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -454,6 +456,68 @@ def test_prime_degree_invariant_product_has_no_split(n):
         decompose_invariants_search(b)
     with pytest.raises(DecompositionError):
         decompose_auto(b)
+
+
+@pytest.mark.parametrize(
+    "n, drift", [(4, 1e-8), (6, 1e-8), (8, 1e-9), (9, 1e-9), (12, 1e-9), (4, 3e-8)]
+)
+def test_invariants_search_keeps_the_group_identity_tol(n, drift):
+    # A constant off by `drift` radians: the group is found only at a looser
+    # identity tolerance, and its subgroups must be declared at the same one.
+    c = solve_unimodular_c(0.5, n)[0][0] * cmath.exp(1j * drift)
+    b = construct_invariant_product(MoebiusTransform(c, 0.5), n, closure_tol=1e-5)
+    with warnings.catch_warnings():
+        # The search warns about candidates of inconsistent order at n >= 8.
+        warnings.simplefilter("ignore", UserWarning)
+        dec = decompose_auto(b)
+    assert dec.source is DecompositionSource.INVARIANT_GROUP
+    assert 1 < dec.outer.degree < n
+    assert roundtrip_residual(dec, b) <= 1e-7
+
+
+def test_auto_rejects_trivial_splits():
+    degree2 = BlaschkeProduct(1.0, (0j, 0.3 + 0.1j))
+    degree3 = BlaschkeProduct(1.0, (0j, 0.3 + 0.1j, -0.2 + 0.4j))
+    for b in (degree2, degree3):
+        with pytest.raises(DecompositionError):
+            decompose_auto(b)
+    # The explicit routes still return them.
+    assert decompose_paired_search(degree2).outer.degree == 1
+    assert decompose_tripled_3n(degree3).outer.degree == 1
+
+
+def test_auto_splits_without_the_aberth_iteration(monkeypatch):
+    import blaschke.numerics
+
+    cases = [
+        (orbit_product(9), DecompositionSource.INVARIANT_GROUP),
+        (
+            shuffled_composition(random.Random(27), 3, 9, constant_tol=LOOSE_CONSTANT_TOL),
+            DecompositionSource.TRIPLED_ZEROS_3N,
+        ),
+    ]
+
+    def no_aberth(*args):
+        raise AssertionError("the Aberth iteration ran")
+
+    monkeypatch.setattr(blaschke.numerics, "_aberth", no_aberth)
+    for b, source in cases:
+        dec = decompose_auto(b)
+        assert dec.source is source
+        assert dec.inner.degree == 3
+        assert roundtrip_residual(dec, b) <= 1e-7
+
+
+def test_fiber_split_rejects_a_wrong_outer_constant(monkeypatch, poncelet_product):
+    import blaschke.decompose
+
+    inner = BlaschkeProduct(1.0, (0j, poncelet_product.zeros[1]))
+    source = DecompositionSource.PAIRED_ZEROS_2N
+    assert_roundtrip(_fiber_split(poncelet_product, inner, source), poncelet_product)
+    recover = blaschke.decompose.recover_constant
+    monkeypatch.setattr(blaschke.decompose, "recover_constant", lambda *args: -recover(*args))
+    with pytest.raises(DecompositionError):
+        _fiber_split(poncelet_product, inner, source)
 
 
 def test_paired_search_reports_conditions_unsatisfied():

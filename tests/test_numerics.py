@@ -208,4 +208,3 @@ def test_polynomial_arithmetic():
     assert (a * b).coeffs == (-1 + 0j, 0j, 1 + 0j)
     assert (a + b).coeffs == (0j, 2 + 0j)
     assert (a - b).coeffs == (2 + 0j,)
-    assert a.derivative().coeffs == (1 + 0j,)
