@@ -274,12 +274,12 @@ def decompose_tripled_3n(product: BlaschkeProduct, tol: float = CONDITION_TOL) -
 
 
 def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
-    """First split through a subgroup of an invariant group of the product.
+    """First split through a subgroup of the product's invariant group.
 
-    For each group, in the order :func:`find_invariant_group` returns them,
-    the subgroups of order d are tried with d ascending.  The subgroup of the
-    full degree is skipped: it only gives the trivial split with an outer
-    factor of degree 1.
+    The invariant group (a tuple of at most one, from
+    :func:`find_invariant_group`) is tried through its subgroups of order d,
+    with d ascending.  The subgroup of the full degree is skipped: it only
+    gives the trivial split with an outer factor of degree 1.
     """
     failures: list[str] = []
     for group in find_invariant_group(product):

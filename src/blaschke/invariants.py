@@ -20,7 +20,6 @@ from .moebius import (
     ORBIT_CLOSURE_TOL,
     ORBIT_DISTINCT_TOL,
     MoebiusTransform,
-    moebius_compose,
     moebius_eval,
     moebius_iterate_zero,
     moebius_order,
@@ -153,7 +152,7 @@ def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTran
 
 
 def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL) -> tuple[InvariantGroup, ...]:
-    """All cyclic groups of invariants of a canonical product.
+    """The invariant group of a canonical product (a tuple of at most one).
 
     Candidates come from the structure of the zero set: a pure power of z is
     only invariant under rotations by roots of unity, and otherwise any
@@ -162,12 +161,13 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     for a zero a_j of equal modulus.
 
     Candidates are ranked by order (largest first), then by the phases of c
-    and alpha.  A candidate equal to a power of an already accepted
-    generator is skipped, since it is invariant whenever the generator is.
-    Any other candidate must first keep ``|B(M(z)) - B(z)| <= tol`` at the
+    and alpha.  Each must first keep ``|B(M(z)) - B(z)| <= tol`` at the
     zeros of B and at the point of the oracle's probe set where |B| is
-    largest, and only then faces the full :func:`verify_invariance` oracle;
-    each accepted generator has passed it.
+    largest, and only then faces the full :func:`verify_invariance` oracle.
+    The first that passes, with an order dividing the degree, generates the
+    group: the invariants of a finite Blaschke product form a finite, hence
+    cyclic, subgroup of the disk automorphisms, so every other invariant is
+    one of its powers.
     """
     if not canonical_form(product).is_canonical:
         raise BadShape("invariant search requires a canonical product")
@@ -176,7 +176,6 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
         raise BadShape("invariant search requires degree >= 2")
 
     identity_tol = max(IDENTITY_TOL, tol)
-    power_tol = max(tol, 10 * identity_tol)
     ranked = sorted(
         ((moebius_order(cand, n, identity_tol), cand) for cand in _unique_candidates(product, tol)),
         key=lambda item: (
@@ -186,18 +185,14 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
             cmath.phase(item[1].alpha) % (2 * math.pi),
         ),
     )
-    # An invariant maps zeros to zeros.  Maps that (nearly) permute the zeros
-    # but are not invariant leave a residual of order |B|, which is tiny
-    # near clustered zeros; the oracle point where |B| is largest shows it.
-    # It is found only once a candidate passes the zeros, which most fail.
+    # An invariant maps zeros to zeros, where B vanishes.  Maps that (nearly)
+    # permute the zeros but are not invariant leave a residual of order |B|,
+    # which is tiny near clustered zeros; the oracle point where |B| is
+    # largest shows it.  It is found only once a candidate passes the zeros,
+    # which most fail.
     loudest = None
-    groups: list[InvariantGroup] = []
-    powers: list[MoebiusTransform] = []
     for order, cand in ranked:
-        consistent = order is not None and n % order == 0
-        if consistent and any(_params_close(power, cand, power_tol) for power in powers):
-            continue
-        if any(_residual(product, cand, z) > tol for z in product.zeros):
+        if any(abs(blaschke_eval(product, moebius_eval(cand, a))) > tol for a in product.zeros):
             continue
         if loudest is None:
             loudest = max(
@@ -207,15 +202,11 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
             continue
         if verify_invariance(product, cand, n + 1) > tol:
             continue
-        if not consistent:
+        if order is None or n % order:
             warnings.warn(
                 f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}",
                 stacklevel=2,
             )
             continue
-        groups.append(InvariantGroup(cand, order, identity_tol))
-        power = cand
-        for _ in range(order):
-            powers.append(power)
-            power = moebius_compose(power, cand)
-    return tuple(groups)
+        return (InvariantGroup(cand, order, identity_tol),)
+    return ()

@@ -8,7 +8,12 @@ import random
 
 import pytest
 
-from blaschke import BlaschkeProduct, MoebiusTransform
+from blaschke import (
+    BlaschkeProduct,
+    MoebiusTransform,
+    construct_invariant_product,
+    solve_unimodular_c,
+)
 
 
 def random_interior(rng: random.Random, radius: float = 0.8) -> complex:
@@ -46,6 +51,16 @@ DEGREE5_ORBIT = (
 DEGREE7_C = 0.217617 - 0.976034j
 DEGREE7_A1 = -0.108809 + 0.488017j
 DEGREE7_A6 = 0.5 + 0j
+
+
+# (degree, drift) of orbit products whose constant is off the closed form by
+# `drift` radians; their group is found only at a looser identity tolerance.
+DRIFT_CASES = [(4, 1e-8), (6, 1e-8), (8, 1e-9), (9, 1e-9), (12, 1e-9), (4, 3e-8)]
+
+
+def drifted_orbit_product(n: int, drift: float) -> BlaschkeProduct:
+    c = solve_unimodular_c(0.5, n)[0][0] * cmath.exp(1j * drift)
+    return construct_invariant_product(MoebiusTransform(c, 0.5), n, closure_tol=1e-5)
 
 
 def exact_degree3_constant(sign: int = 1) -> complex:

@@ -241,6 +241,16 @@ def test_decompose_a1_index_needs_paired_method(capsys, degree6_doc):
     assert json.loads(captured.err)["error"] == "BadShape"
 
 
+def test_decompose_tol_rejected_with_invariants_method(capsys, degree6_doc):
+    # The invariants route takes no tolerance; --tol there would be ignored.
+    code = run(["decompose", "--product", degree6_doc, "--method", "invariants", "--tol", "1e-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "BadShape"
+    assert run(["decompose", "--product", degree6_doc, "--method", "invariants"]) == 0
+    capsys.readouterr()
+
+
 def test_usage_error_exit_code(capsys):
     assert run(["solve-c", "--degree", "5"]) == 2
     capsys.readouterr()

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
-import warnings
 from itertools import combinations
 
 import pytest
@@ -38,7 +36,13 @@ from blaschke import (
 )
 from blaschke.decompose import _fiber_split, _inner_from_fibers
 from blaschke.products import ORIGIN_ZERO_TOL
-from conftest import exact_degree3_constant, multiset_close, random_interior
+from conftest import (
+    DRIFT_CASES,
+    drifted_orbit_product,
+    exact_degree3_constant,
+    multiset_close,
+    random_interior,
+)
 
 
 def assert_roundtrip(dec, original):
@@ -458,21 +462,25 @@ def test_prime_degree_invariant_product_has_no_split(n):
         decompose_auto(b)
 
 
-@pytest.mark.parametrize(
-    "n, drift", [(4, 1e-8), (6, 1e-8), (8, 1e-9), (9, 1e-9), (12, 1e-9), (4, 3e-8)]
-)
+@pytest.mark.parametrize("n, drift", DRIFT_CASES)
 def test_invariants_search_keeps_the_group_identity_tol(n, drift):
     # A constant off by `drift` radians: the group is found only at a looser
     # identity tolerance, and its subgroups must be declared at the same one.
-    c = solve_unimodular_c(0.5, n)[0][0] * cmath.exp(1j * drift)
-    b = construct_invariant_product(MoebiusTransform(c, 0.5), n, closure_tol=1e-5)
-    with warnings.catch_warnings():
-        # The search warns about candidates of inconsistent order at n >= 8.
-        warnings.simplefilter("ignore", UserWarning)
-        dec = decompose_auto(b)
+    b = drifted_orbit_product(n, drift)
+    dec = decompose_auto(b)
     assert dec.source is DecompositionSource.INVARIANT_GROUP
     assert 1 < dec.outer.degree < n
     assert roundtrip_residual(dec, b) <= 1e-7
+
+
+def test_drifted_degree6_product_has_one_group():
+    # Its order-6 invariant misses the oracle (residual about 1.04e-7), while
+    # its cube (order 2) and square (order 3) pass; the search keeps only the
+    # group of the larger order, and the split through it stands.
+    b = drifted_orbit_product(6, 1e-8)
+    assert [group.order for group in find_invariant_group(b)] == [3]
+    dec = decompose_auto(b)
+    assert (dec.inner.degree, dec.outer.degree) == (3, 2)
 
 
 def test_auto_rejects_trivial_splits():
