@@ -86,11 +86,13 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     """Max of ``|B(M(z)) - B(z)|`` over the probe set.
 
     The probe set is the equality-oracle probes plus ``samples`` seeded
-    pseudo-random interior points.
+    pseudo-random interior points.  :func:`find_invariant_group` computes
+    the same maximum on the same points through the same helpers, with B
+    evaluated there once per search rather than once per candidate.
     """
     if samples < product.degree + 1:
         raise ValueError("need at least degree + 1 samples")
-    return max(_residual(product, m, z) for z in _oracle_points(product, samples))
+    return _max_residual(product, m, _oracle(product, samples))
 
 
 def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
@@ -102,8 +104,13 @@ def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
     return pts
 
 
-def _residual(product: BlaschkeProduct, m: MoebiusTransform, z: complex) -> float:
-    return abs(blaschke_eval(product, moebius_eval(m, z)) - blaschke_eval(product, z))
+def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, complex]]:
+    """The probe points z, each paired with B(z)."""
+    return [(z, blaschke_eval(product, z)) for z in _oracle_points(product, samples)]
+
+
+def _max_residual(product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]) -> float:
+    return max(abs(blaschke_eval(product, moebius_eval(m, z)) - bz) for z, bz in oracle)
 
 
 def _rotation_candidates(degree: int) -> list[MoebiusTransform]:
@@ -112,43 +119,23 @@ def _rotation_candidates(degree: int) -> list[MoebiusTransform]:
     ]
 
 
-def _params_close(a: MoebiusTransform, b: MoebiusTransform, tol: float) -> bool:
-    return abs(a.c - b.c) <= tol and abs(a.alpha - b.alpha) <= tol
-
-
 def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
     """Distinct candidate invariants read off the zero set of ``product``."""
     n = product.degree
-    nonzero = [z for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
-    origin_count = n - len(nonzero)
-
-    candidates: list[MoebiusTransform] = []
+    nonzero = [(z, abs(z)) for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
     if not nonzero:
-        candidates.extend(_rotation_candidates(n))
-    else:
-        for aj in nonzero:
-            for al in nonzero:
-                if abs(abs(aj) - abs(al)) > tol:
-                    continue
-                c = -aj / al
-                candidates.append(MoebiusTransform(c / abs(c), al))
-        if origin_count >= 2:
-            # A repeated origin zero also admits rotation invariants that the
-            # pole-at-a-zero form cannot express.
-            for aj in nonzero:
-                for al in nonzero:
-                    if aj is al or abs(abs(aj) - abs(al)) > tol:
-                        continue
-                    w = aj / al
-                    if abs(w - 1.0) <= IDENTITY_TOL:
-                        continue
-                    candidates.append(MoebiusTransform(w / abs(w), 0j))
-
-    unique: list[MoebiusTransform] = []
-    for cand in candidates:
-        if not any(_params_close(cand, seen, 1e-9) for seen in unique):
-            unique.append(cand)
-    return unique
+        return _rotation_candidates(n)
+    pairs = [(aj, al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
+    candidates = [MoebiusTransform(-aj / al / abs(aj / al), al) for aj, al in pairs]
+    if n - len(nonzero) >= 2:
+        # A repeated origin zero also admits rotation invariants that the
+        # pole-at-a-zero form cannot express.
+        for aj, al in pairs:
+            w = aj / al
+            if aj is not al and abs(w - 1.0) > IDENTITY_TOL:
+                candidates.append(MoebiusTransform(w / abs(w), 0j))
+    # Equal zeros give equal candidates; the first of each is kept, in order.
+    return list(dict.fromkeys(candidates))
 
 
 def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL) -> tuple[InvariantGroup, ...]:
@@ -163,11 +150,13 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     Candidates are ranked by order (largest first), then by the phases of c
     and alpha.  Each must first keep ``|B(M(z)) - B(z)| <= tol`` at the
     zeros of B and at the point of the oracle's probe set where |B| is
-    largest, and only then faces the full :func:`verify_invariance` oracle.
-    The first that passes, with an order dividing the degree, generates the
-    group: the invariants of a finite Blaschke product form a finite, hence
-    cyclic, subgroup of the disk automorphisms, so every other invariant is
-    one of its powers.
+    largest, and only then over the whole probe set, which is the value
+    ``verify_invariance(product, M, degree + 1)`` returns.  B is evaluated
+    at the probe set once per search, when the first candidate passes the
+    zeros.  The first that passes, with an order dividing the degree,
+    generates the group: the invariants of a finite Blaschke product form a
+    finite, hence cyclic, subgroup of the disk automorphisms, so every other
+    invariant is one of its powers.
     """
     if not canonical_form(product).is_canonical:
         raise BadShape("invariant search requires a canonical product")
@@ -190,17 +179,14 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     # which is tiny near clustered zeros; the oracle point where |B| is
     # largest shows it.  It is found only once a candidate passes the zeros,
     # which most fail.
-    loudest = None
+    oracle = None
     for order, cand in ranked:
         if any(abs(blaschke_eval(product, moebius_eval(cand, a))) > tol for a in product.zeros):
             continue
-        if loudest is None:
-            loudest = max(
-                _oracle_points(product, n + 1), key=lambda z: abs(blaschke_eval(product, z))
-            )
-        if _residual(product, cand, loudest) > tol:
-            continue
-        if verify_invariance(product, cand, n + 1) > tol:
+        if oracle is None:
+            oracle = _oracle(product, n + 1)
+            loudest = max(oracle, key=lambda zb: abs(zb[1]))
+        if _max_residual(product, cand, [loudest]) > tol or _max_residual(product, cand, oracle) > tol:
             continue
         if order is None or n % order:
             warnings.warn(

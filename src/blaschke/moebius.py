@@ -121,15 +121,19 @@ def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT
     """Orbit report for ``0, M(0), ..., M^{n-1}(0)`` by pointwise iteration."""
     if n < 1:
         raise ValueError("need at least one orbit point")
-    points = [0j]
-    for _ in range(n - 1):
-        points.append(moebius_eval(m, points[-1]))
-    closes = abs(moebius_eval(m, points[-1])) <= closure_tol
+    points, closes = _orbit_of_zero(m, n, closure_tol)
     if n == 1:
         gap = math.inf
     else:
         gap = min(abs(x - y) for x, y in combinations(points, 2))
-    return OrbitReport(tuple(points), closes, gap)
+    return OrbitReport(points, closes, gap)
+
+
+def _orbit_of_zero(m: MoebiusTransform, n: int, closure_tol: float) -> tuple[tuple[complex, ...], bool]:
+    points = [0j]
+    for _ in range(n - 1):
+        points.append(moebius_eval(m, points[-1]))
+    return tuple(points), abs(moebius_eval(m, points[-1])) <= closure_tol
 
 
 def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> Optional[int]:
@@ -227,8 +231,14 @@ def solve_unimodular_c(
     2 pi k / n, and by the trace condition its constant c = e^{i theta} then
     satisfies cos(theta / 2) = sqrt(1 - |alpha|^2) cos(pi k / n).  The n - 1
     candidates k = 1 .. n-1 are kept when they produce an orbit that closes
-    with ``min_pairwise_gap >= tol``; the default tolerance drops the k with
-    gcd(k, n) > 1, whose orbits revisit points, and ``tol = 0`` admits them.
+    with ``min_pairwise_gap >= tol``.  An orbit with g = gcd(k, n) > 1
+    revisits its points after n / g steps, so its gap is rounding noise: any
+    ``tol > 0`` skips those k, and ``tol = 0`` admits them.
+
+    M turns the circle through its orbit by 2 pi k / n, and a Moebius map
+    keeps the cyclic order on that circle, so the chord from M^j(0) to a
+    circular neighbour is a shortest one.  The gap is the minimum over the n
+    pairs (j, j + s) with s k = 1 mod n, or s = n / g for a revisiting orbit.
     Returns (c, orbit) pairs sorted by the phase of c.
     """
     alpha = require_finite(alpha)
@@ -244,10 +254,15 @@ def solve_unimodular_c(
     scale = math.sqrt((1.0 - r) * (1.0 + r))
     solutions = []
     for k in range(1, n):
+        g = math.gcd(k, n)
+        if g > 1 and tol > 0:
+            continue
         c = cmath.exp(2j * math.acos(scale * math.cos(math.pi * k / n)))
-        orbit = moebius_iterate_zero(MoebiusTransform(c, alpha), n)
-        if orbit.closes and orbit.min_pairwise_gap >= tol:
-            solutions.append((c, orbit))
+        points, closes = _orbit_of_zero(MoebiusTransform(c, alpha), n, ORBIT_CLOSURE_TOL)
+        step = pow(k, -1, n) if g == 1 else n // g
+        gap = min(abs(points[j] - points[(j + step) % n]) for j in range(n))
+        if closes and gap >= tol:
+            solutions.append((c, OrbitReport(points, closes, gap)))
     if not solutions:
         raise NoSolution(f"no unimodular constant closes a {n}-step orbit for alpha={alpha!r}")
     solutions.sort(key=lambda item: cmath.phase(item[0]) % (2 * math.pi))

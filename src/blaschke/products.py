@@ -103,11 +103,15 @@ def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, .
 
     Probes sit on the circle of radius 1/2; if one collides with an avoided
     point (a zero, i.e. the reflection of a pole) the radius drops to 0.47.
+    A point within 1e-9 of a probe lies within 1e-9 of its circle, so only
+    the avoided points within 2e-9 of the circle are checked against the
+    probes: O(degree) work unless many of them crowd the circle.
     """
     avoid = tuple(avoid)
     for radius in (PROBE_RADIUS, PROBE_RADIUS_ALT):
         pts = tuple(radius * cmath.exp(2j * math.pi * k / (degree + 1)) for k in range(degree + 1))
-        if all(abs(p - a) > 1e-9 for p in pts for a in avoid):
+        near = [a for a in avoid if abs(abs(a) - radius) <= 2e-9]
+        if all(abs(p - a) > 1e-9 for p in pts for a in near):
             return pts
     return pts
 

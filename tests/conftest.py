@@ -28,6 +28,10 @@ def random_product(rng: random.Random, degree: int, radius: float = 0.8) -> Blas
     return BlaschkeProduct(constant, zeros)
 
 
+def totient(n: int) -> int:
+    return sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
+
+
 def multiset_close(found, expected, tol: float) -> bool:
     """Greedy nearest matching of two complex multisets."""
     remaining = list(expected)

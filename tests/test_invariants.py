@@ -18,7 +18,9 @@ from blaschke import (
     OrbitDegenerate,
     OrbitNotClosed,
     blaschke_equal,
+    blaschke_eval,
     construct_invariant_product,
+    decompose_auto,
     find_invariant_group,
     moebius_compose,
     moebius_eval,
@@ -27,8 +29,10 @@ from blaschke import (
     verify_invariance,
 )
 from blaschke import invariants
+from blaschke.decompose import ROUNDTRIP_TOL, roundtrip_residual
 from blaschke.invariants import GROUP_MATCH_TOL
 from blaschke.moebius import IDENTITY_TOL, ORBIT_DISTINCT_TOL, moebius_order
+from blaschke.products import ORIGIN_ZERO_TOL
 from conftest import (
     DEGREE5_C,
     DEGREE5_ORBIT,
@@ -37,6 +41,7 @@ from conftest import (
     drifted_orbit_product,
     random_interior,
     random_product,
+    totient,
 )
 
 
@@ -276,11 +281,58 @@ def structured_products():
         yield BlaschkeProduct(1.0, (0j, 0j) + tuple(0.6 * cmath.exp(2j * math.pi * k / n) for k in range(n)))
 
 
+def random_origin_products():
+    rng = random.Random(31)
+    return [BlaschkeProduct(1.0, (0j,) + random_product(rng, n).zeros) for n in range(2, 16)]
+
+
+def merged_candidates(product, tol):
+    """Candidates from every pair of zeros, each kept unless within 1e-9 of
+    one kept before: the quadratic generate-and-merge reference for the
+    exact dedupe."""
+    n = product.degree
+    nonzero = [z for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
+    if not nonzero:
+        return invariants._rotation_candidates(n)
+    candidates = []
+    for aj in nonzero:
+        for al in nonzero:
+            if abs(abs(aj) - abs(al)) <= tol:
+                c = -aj / al
+                candidates.append(MoebiusTransform(c / abs(c), al))
+    if n - len(nonzero) >= 2:
+        for aj in nonzero:
+            for al in nonzero:
+                if aj is al or abs(abs(aj) - abs(al)) > tol:
+                    continue
+                w = aj / al
+                if abs(w - 1.0) > IDENTITY_TOL:
+                    candidates.append(MoebiusTransform(w / abs(w), 0j))
+    return merge_close(candidates)
+
+
+def merge_close(candidates):
+    kept = []
+    for cand in candidates:
+        if not any(abs(cand.c - k.c) <= 1e-9 and abs(cand.alpha - k.alpha) <= 1e-9 for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def test_exact_dedupe_keeps_the_merged_candidates_in_order():
+    # Equal zeros give bit-equal candidates, which the exact dedupe drops.
+    # Zeros equal only up to rounding (orbits that revisit points) leave
+    # near-equal candidates, which the 1e-9 merge would have folded.
+    for b in [*orbit_products(), *structured_products(), *random_origin_products()]:
+        exact = invariants._unique_candidates(b, GROUP_MATCH_TOL)
+        assert len(set(exact)) == len(exact)
+        assert merge_close(exact) == merged_candidates(b, GROUP_MATCH_TOL), f"zeros {b.zeros}"
+
+
 def test_search_matches_vetting_every_candidate():
     # The invariants form one cyclic group, so the search stops at its
     # generator: the first group of the exhaustive reference.
-    rng = random.Random(31)
-    randoms = [BlaschkeProduct(1.0, (0j,) + random_product(rng, n).zeros) for n in range(2, 16)]
+    randoms = random_origin_products()
     drifted = [drifted_orbit_product(n, drift) for n, drift in DRIFT_CASES]
     for b in [*orbit_products(), *structured_products(), *drifted, *randoms]:
         with warnings.catch_warnings():
@@ -323,6 +375,54 @@ def test_search_vets_each_group_once(monkeypatch):
         groups = find_invariant_group(b)
         assert groups and groups[0].order == 20
         assert len(calls) <= len(groups)
+
+
+def sign_flipping_product():
+    """Zeros 0, 1/2 and the fixed point p of M(z) = (1/2 - z) / (1 - z/2).
+
+    M swaps 0 and 1/2 and fixes p, so it permutes the zeros, but it turns the
+    disk by pi about p: B(M(z)) = -B(z), and the product has no invariants.
+    """
+    p = (1 - math.sqrt(0.75)) / 0.5
+    return BlaschkeProduct(1.0, (0j, 0.5 + 0j, complex(p)))
+
+
+def test_search_builds_the_oracle_once(monkeypatch):
+    calls = []
+    oracle_points = invariants._oracle_points
+
+    def counted(*args):
+        calls.append(args)
+        return oracle_points(*args)
+
+    monkeypatch.setattr(invariants, "_oracle_points", counted)
+    c, _ = solve_unimodular_c(0.4, 20)[0]
+    b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
+    assert find_invariant_group(b)[0].order == 20
+    assert len(calls) == 1
+
+    calls.clear()
+    b = sign_flipping_product()
+    swap = MoebiusTransform(-1.0, 0.5)
+    assert max(abs(blaschke_eval(b, moebius_eval(swap, a))) for a in b.zeros) <= 1e-15
+    assert find_invariant_group(b) == ()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", [24, 36, 60, 100])
+def test_every_primitive_orbit_up_to_degree_100(n):
+    # Every k prime to n closes a distinct orbit; the product built on one
+    # recovers its full group and splits through it.
+    for radius in (0.3, 0.6, 0.9):
+        alpha = radius * cmath.exp(1.1j)
+        sols = solve_unimodular_c(alpha, n)
+        assert len(sols) == totient(n)
+        assert all(orbit.min_pairwise_gap >= ORBIT_DISTINCT_TOL for _, orbit in sols)
+        c, _ = sols[len(sols) // 2]
+        b = construct_invariant_product(MoebiusTransform(c, alpha), n)
+        (group,) = find_invariant_group(b)
+        assert group.order == n
+        assert roundtrip_residual(decompose_auto(b), b) <= ROUNDTRIP_TOL
 
 
 def test_search_warns_on_inconsistent_order(monkeypatch):

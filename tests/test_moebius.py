@@ -6,6 +6,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,7 @@ from blaschke import (
     poly_roots,
     solve_unimodular_c,
 )
+from blaschke.moebius import ORBIT_CLOSURE_TOL, ORBIT_DISTINCT_TOL
 from conftest import (
     DEGREE5_C,
     DEGREE5_ORBIT,
@@ -35,6 +37,7 @@ from conftest import (
     exact_degree3_constant,
     multiset_close,
     random_interior,
+    totient,
 )
 
 
@@ -296,10 +299,6 @@ def test_solutions_close_orbits_and_leave_product_invariant(radius, angle, n):
         assert verify_invariance(product, m, 100) <= 1e-9
 
 
-def totient(n: int) -> int:
-    return sum(1 for k in range(1, n) if math.gcd(k, n) == 1)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     st.floats(min_value=0.05, max_value=0.9),
@@ -353,3 +352,40 @@ def test_order_tol_bounds_leftover_rotation_angle():
     m = MoebiusTransform(cmath.exp(1j * (2 * math.pi / 3 + 1e-9)), 0.0)
     assert moebius_order(m, 10, tol=1e-8) == 3
     assert moebius_order(m, 10, tol=1e-9) is None
+
+
+def all_pairs_solutions(alpha, n):
+    """The solver with every k admitted and the orbit gap taken over all pairs.
+
+    The orbit is iterated with the arithmetic of ``moebius_eval``; the gap is
+    the minimum over all C(n, 2) pairs of points (vectorised only for speed).
+    """
+    r = abs(alpha)
+    scale = math.sqrt((1.0 - r) * (1.0 + r))
+    solutions = []
+    for k in range(1, n):
+        c = cmath.exp(2j * math.acos(scale * math.cos(math.pi * k / n)))
+        points = [0j]
+        for _ in range(n):
+            z = points[-1]
+            points.append(c * (z - alpha) / (1.0 - alpha.conjugate() * z))
+        if abs(points.pop()) <= ORBIT_CLOSURE_TOL:
+            p = np.array(points)
+            distances = np.abs(p[:, None] - p)
+            np.fill_diagonal(distances, np.inf)
+            solutions.append((c, tuple(points), float(distances.min())))
+    solutions.sort(key=lambda item: cmath.phase(item[0]) % (2 * math.pi))
+    return solutions
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.45, 0.9])
+def test_neighbour_gap_matches_all_pairs_gap(radius):
+    # The circular neighbours of each orbit point give the all-pairs minimum,
+    # and any tol > 0 drops the same orbits as the all-pairs gap did.
+    alpha = radius * cmath.exp(0.7j)
+    for n in range(2, 101):
+        expected = all_pairs_solutions(alpha, n)
+        for tol, kept in ((0.0, expected), (ORBIT_DISTINCT_TOL, [s for s in expected if s[2] >= ORBIT_DISTINCT_TOL])):
+            got = solve_unimodular_c(alpha, n, tol)
+            assert [(c, orbit.points, orbit.closes) for c, orbit in got] == [(c, pts, True) for c, pts, _ in kept]
+            assert all(abs(orbit.min_pairwise_gap - gap) <= 1e-15 for (_, orbit), (*_, gap) in zip(got, kept))
