@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .decompose import (
-    CONDITION_TOL,
     decompose_auto,
     decompose_invariants_search,
     decompose_paired_2n,
@@ -142,8 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product", required=True, metavar="FILE")
     p.add_argument("--method", choices=("auto", "invariants", "paired", "tripled"), default="auto")
     p.add_argument("--a1-index", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"default {CONDITION_TOL}; refused with --method invariants")
 
     p = sub.add_parser("compose", help="composition outer ∘ inner of two products")
     p.add_argument("--inner", required=True, metavar="FILE")
@@ -201,21 +198,18 @@ def _cmd_verify(args) -> Any:
 def _cmd_decompose(args) -> Any:
     if args.a1_index is not None and args.method != "paired":
         raise BadShape("--a1-index applies only to --method paired")
-    if args.tol is not None and args.method == "invariants":
-        raise BadShape("--tol does not apply to --method invariants")
-    tol = CONDITION_TOL if args.tol is None else args.tol
     product = _read_product(args.product)
     if args.method == "auto":
-        dec = decompose_auto(product, tol)
+        dec = decompose_auto(product)
     elif args.method == "invariants":
         dec = decompose_invariants_search(product)
     elif args.method == "paired":
         if args.a1_index is not None:
-            dec = decompose_paired_2n(product, args.a1_index, tol)
+            dec = decompose_paired_2n(product, args.a1_index)
         else:
-            dec = decompose_paired_search(product, tol)
+            dec = decompose_paired_search(product)
     else:
-        dec = decompose_tripled_3n(product, tol)
+        dec = decompose_tripled_3n(product)
     return {
         "inner": product_to_document(dec.inner),
         "outer": product_to_document(dec.outer),

@@ -1,12 +1,13 @@
 """Explicit decompositions B = outer ∘ inner of finite Blaschke products.
 
-Every route proposes an inner factor and groups the zeros of B by their
-image under it.  B factors through the inner factor exactly when each group
-is made of full fibers, that is, its size is a multiple of the inner degree;
-the group images are then the zeros of the outer factor (Garcia–Mashreghi–
-Ross, *Finite Blaschke Products and Their Connections*, 2018), and the split
-holds when outer(inner(z)) = B(z) at n + 1 probes, which decides equality of
-degree-n products.  The inner factor comes from an invariant group,
+Every route proposes an inner factor of degree d and groups the zeros of B
+into its fibers: the first image left and the d - 1 images nearest it.  If
+B factors through the inner factor, the fiber images are the zeros of the
+outer factor (Garcia–Mashreghi–Ross, *Finite Blaschke Products and Their
+Connections*, 2018).  The split is accepted only when outer(inner(z)) = B(z)
+within ``ROUNDTRIP_TOL`` at n + 1 probes, which decides equality of
+degree-n products, so no route takes a tolerance of its own.
+The inner factor comes from an invariant group,
 ``((z - g)/(1 - conj(g) z))^k`` at the generator's interior fixed point g,
 or, for a canonical product, from one or two nonzero zeros:
 ``z (z - a1)/(1 - conj(a1) z)`` and its degree-3 analogue.
@@ -16,8 +17,7 @@ pattern, which gives the only candidate of each degree directly.  The
 paper's paired and tripled zero conditions are Vieta's formulas for such
 fibers; :func:`check_paired_conditions_2n` and
 :func:`check_tripled_conditions_3n` evaluate them for a grouping the caller
-supplies.  The ``tol`` of the paired and tripled routes bounds, times the
-degree of B, how far an image may lie from the first image of its group.
+supplies.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import (
     ConditionsUnsatisfied,
     DecompositionError,
     NoInteriorFixedPoint,
+    NormalizationError,
 )
 from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
@@ -41,7 +42,7 @@ from .products import (
     BlaschkeProduct,
     blaschke_eval,
     blaschke_preimages,
-    canonical_form,
+    is_canonical,
     probe_points,
     recover_constant,
 )
@@ -79,27 +80,18 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
 
 
 def _fiber_split(
-    product: BlaschkeProduct,
-    inner: BlaschkeProduct,
-    source: DecompositionSource,
-    tol: float = CONDITION_TOL,
+    product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
 ) -> Decomposition:
-    # Images within tol * degree of a group's first image join the group; a
-    # group of m zeros holds m / deg(inner) fibers over its mean image.
+    # A fiber is the first image left and the d - 1 images nearest it; the
+    # mean of its images, summed in index order, is a zero of the outer factor.
     d = inner.degree
-    spread = tol * product.degree
     images = [blaschke_eval(inner, a) for a in product.zeros]
     outer_zeros: list[complex] = []
     while images:
-        seed = images[0]
-        group = [w for w in images if abs(w - seed) <= spread]
-        if len(group) % d != 0:
-            raise ConditionsUnsatisfied(
-                f"{len(group)} zero(s) share an image under the inner factor,"
-                f" not a multiple of its degree {d}"
-            )
-        outer_zeros.extend([sum(group) / len(group)] * (len(group) // d))
-        images = [w for w in images if abs(w - seed) > spread]
+        nearest = sorted(range(1, len(images)), key=lambda i: abs(images[i] - images[0]))
+        fiber = {0, *nearest[: d - 1]}
+        outer_zeros.append(sum(images[i] for i in sorted(fiber)) / d)
+        images = [w for i, w in enumerate(images) if i not in fiber]
     constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
     dec = Decomposition(inner, BlaschkeProduct(constant, tuple(outer_zeros)), source)
     residual = roundtrip_residual(dec, product)
@@ -111,8 +103,22 @@ def _fiber_split(
 def _require_shape(product: BlaschkeProduct, d: int, what: str) -> None:
     if product.degree % d != 0:
         raise BadShape(f"{what}: the degree must be divisible by {d}")
-    if not canonical_form(product).is_canonical:
+    if not is_canonical(product):
         raise BadShape(f"{what}: the product must be canonical")
+
+
+def _require_cover(
+    product: BlaschkeProduct, distinguished: list[int], groups: Sequence[Sequence[int]], what: str
+) -> None:
+    # The distinguished zeros and the groups use each index once and leave
+    # exactly one zero over, at the origin.
+    used = distinguished + [i for group in groups for i in group]
+    n = product.degree
+    if len(set(used)) != len(used) or not all(0 <= i < n for i in used):
+        raise BadShape("indices must be distinct and in range")
+    leftover = set(range(n)) - set(used)
+    if len(leftover) != 1 or abs(product.zeros[next(iter(leftover))]) > ORIGIN_ZERO_TOL:
+        raise BadShape(f"{what} must cover all zeros except one origin zero")
 
 
 def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
@@ -144,11 +150,18 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
 
 
-def _split_through_degree(
-    product: BlaschkeProduct, d: int, source: DecompositionSource, tol: float
+def _split_through(
+    product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
 ) -> Decomposition:
     try:
-        return _fiber_split(product, _inner_from_fibers(product, d), source, tol)
+        return _fiber_split(product, inner, source)
+    except (NormalizationError, DecompositionError) as exc:
+        raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
+
+
+def _split_through_degree(product: BlaschkeProduct, d: int, source: DecompositionSource) -> Decomposition:
+    try:
+        return _fiber_split(product, _inner_from_fibers(product, d), source)
     except BlaschkeError as exc:
         raise ConditionsUnsatisfied(
             f"no inner factor of degree {d} has all zeros in its fibers: {exc}"
@@ -171,7 +184,7 @@ def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) ->
     if gamma is None:
         raise NoInteriorFixedPoint("generator has no fixed point inside the open disk")
     inner = BlaschkeProduct(1.0, (gamma,) * k)
-    return _fiber_split(product, inner, DecompositionSource.INVARIANT_GROUP)
+    return _split_through(product, inner, DecompositionSource.INVARIANT_GROUP)
 
 
 def check_paired_conditions_2n(
@@ -187,16 +200,8 @@ def check_paired_conditions_2n(
     factor z.
     """
     zeros = product.zeros
-    n = product.degree
     _require_shape(product, 2, "paired conditions")
-    used = [a1_index]
-    for i, j in pairing:
-        used.extend((i, j))
-    if len(set(used)) != len(used) or not all(0 <= i < n for i in used):
-        raise BadShape("indices must be distinct and in range")
-    leftover = set(range(n)) - set(used)
-    if len(leftover) != 1 or abs(zeros[next(iter(leftover))]) > ORIGIN_ZERO_TOL:
-        raise BadShape("pairing must cover all zeros except one origin zero")
+    _require_cover(product, [a1_index], pairing, "pairing")
     a1 = zeros[a1_index]
     residuals = tuple(
         a1 + a1.conjugate() * zeros[i] * zeros[j] - zeros[i] - zeros[j] for i, j in pairing
@@ -205,9 +210,7 @@ def check_paired_conditions_2n(
     return StructuredZeroConditions(residuals, satisfied)
 
 
-def decompose_paired_2n(
-    product: BlaschkeProduct, a1_index: int, tol: float = CONDITION_TOL
-) -> Decomposition:
+def decompose_paired_2n(product: BlaschkeProduct, a1_index: int) -> Decomposition:
     """Decompose an even-degree canonical product through a degree-2 inner.
 
     Inner is ``z (z - a1) / (1 - conj(a1) z)``; the zeros must fall into its
@@ -220,7 +223,7 @@ def decompose_paired_2n(
     if abs(a1) <= ORIGIN_ZERO_TOL:
         raise ConditionsUnsatisfied("the distinguished zero a1 must be nonzero")
     inner = BlaschkeProduct(1.0, (0j, a1))
-    return _fiber_split(product, inner, DecompositionSource.PAIRED_ZEROS_2N, tol)
+    return _split_through(product, inner, DecompositionSource.PAIRED_ZEROS_2N)
 
 
 def _triple_residuals(
@@ -241,16 +244,8 @@ def check_tripled_conditions_3n(
 ) -> StructuredZeroConditions:
     """Residual pairs of the two triple conditions for the caller's grouping."""
     zeros = product.zeros
-    n = product.degree
     _require_shape(product, 3, "tripled conditions")
-    used = [a1_index, a2_index]
-    for t in triples:
-        used.extend(t)
-    if len(set(used)) != len(used) or not all(0 <= i < n for i in used):
-        raise BadShape("indices must be distinct and in range")
-    leftover = set(range(n)) - set(used)
-    if len(leftover) != 1 or abs(zeros[next(iter(leftover))]) > ORIGIN_ZERO_TOL:
-        raise BadShape("triples must cover all zeros except one origin zero")
+    _require_cover(product, [a1_index, a2_index], triples, "triples")
     a1, a2 = zeros[a1_index], zeros[a2_index]
     if abs(a1) <= ORIGIN_ZERO_TOL or abs(a2) <= ORIGIN_ZERO_TOL:
         raise BadShape("the distinguished zeros a1, a2 must be nonzero")
@@ -261,7 +256,7 @@ def check_tripled_conditions_3n(
     return StructuredZeroConditions(tuple(residuals), satisfied)
 
 
-def decompose_tripled_3n(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
+def decompose_tripled_3n(product: BlaschkeProduct) -> Decomposition:
     """Decompose a degree-3n canonical product through a degree-3 inner.
 
     Inner is ``z (z - a1)(z - a2) / ((1 - conj(a1) z)(1 - conj(a2) z))`` for
@@ -270,7 +265,7 @@ def decompose_tripled_3n(product: BlaschkeProduct, tol: float = CONDITION_TOL) -
     outer zeros.  Raises :class:`ConditionsUnsatisfied` when they do not.
     """
     _require_shape(product, 3, "tripled decomposition")
-    return _split_through_degree(product, 3, DecompositionSource.TRIPLED_ZEROS_3N, tol)
+    return _split_through_degree(product, 3, DecompositionSource.TRIPLED_ZEROS_3N)
 
 
 def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
@@ -298,7 +293,7 @@ def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
     )
 
 
-def decompose_paired_search(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
+def decompose_paired_search(product: BlaschkeProduct) -> Decomposition:
     """Paired split with the distinguished zero a1 read off B's boundary fibers.
 
     Raises :class:`ConditionsUnsatisfied` when the degree is odd, the product
@@ -306,29 +301,24 @@ def decompose_paired_search(product: BlaschkeProduct, tol: float = CONDITION_TOL
     """
     if product.degree % 2 != 0:
         raise ConditionsUnsatisfied("paired decomposition needs even degree")
-    if not canonical_form(product).is_canonical:
+    if not is_canonical(product):
         raise ConditionsUnsatisfied("paired decomposition needs a canonical product")
-    return _split_through_degree(product, 2, DecompositionSource.PAIRED_ZEROS_2N, tol)
+    return _split_through_degree(product, 2, DecompositionSource.PAIRED_ZEROS_2N)
 
 
-def decompose_auto(product: BlaschkeProduct, tol: float = CONDITION_TOL) -> Decomposition:
+def decompose_auto(product: BlaschkeProduct) -> Decomposition:
     """First nontrivial decomposition found trying invariants, then paired, then tripled.
 
     A route that fails with a :class:`BlaschkeError` or gives an outer factor
     of degree 1 passes on to the next one; any other exception propagates.
     """
-    routes = (
-        ("invariants", lambda: decompose_invariants_search(product)),
-        ("paired", lambda: decompose_paired_search(product, tol)),
-        ("tripled", lambda: decompose_tripled_3n(product, tol)),
-    )
     failures: list[str] = []
-    for name, route in routes:
+    for route in (decompose_invariants_search, decompose_paired_search, decompose_tripled_3n):
         try:
-            dec = route()
+            dec = route(product)
             if dec.outer.degree == 1:
                 raise DecompositionError("only the trivial split, with an outer factor of degree 1")
             return dec
         except BlaschkeError as exc:
-            failures.append(f"{name}: {exc}")
+            failures.append(f"{route.__name__}: {exc}")
     raise DecompositionError("no decomposition route succeeded: " + "; ".join(failures))

@@ -28,7 +28,7 @@ from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
     blaschke_eval,
-    canonical_form,
+    is_canonical,
     probe_points,
 )
 
@@ -158,7 +158,7 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     finite, hence cyclic, subgroup of the disk automorphisms, so every other
     invariant is one of its powers.
     """
-    if not canonical_form(product).is_canonical:
+    if not is_canonical(product):
         raise BadShape("invariant search requires a canonical product")
     n = product.degree
     if n < 2:

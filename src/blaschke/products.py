@@ -64,18 +64,11 @@ class BlaschkeProduct:
         return blaschke_eval(self, z)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    product: BlaschkeProduct
-    is_canonical: bool
-
-
-def canonical_form(product: BlaschkeProduct) -> CanonicalForm:
-    """Flag whether the constant is 1 and a zero sits at the origin."""
-    is_canonical = abs(product.constant - 1.0) <= UNIT_MODULUS_TOL and any(
+def is_canonical(product: BlaschkeProduct) -> bool:
+    """Whether the constant is 1 and a zero sits at the origin."""
+    return abs(product.constant - 1.0) <= UNIT_MODULUS_TOL and any(
         abs(z) <= ORIGIN_ZERO_TOL for z in product.zeros
     )
-    return CanonicalForm(product, is_canonical)
 
 
 def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:

@@ -241,12 +241,11 @@ def test_decompose_a1_index_needs_paired_method(capsys, degree6_doc):
     assert json.loads(captured.err)["error"] == "BadShape"
 
 
-def test_decompose_tol_rejected_with_invariants_method(capsys, degree6_doc):
-    # The invariants route takes no tolerance; --tol there would be ignored.
-    code = run(["decompose", "--product", degree6_doc, "--method", "invariants", "--tol", "1e-3"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert json.loads(captured.err)["error"] == "BadShape"
+def test_decompose_refuses_tol(capsys, degree6_doc):
+    # The round trip alone accepts a split, so no method takes a tolerance.
+    for method in ("auto", "invariants", "paired", "tripled"):
+        assert run(["decompose", "--product", degree6_doc, "--method", method, "--tol", "1e-3"]) == 2
+        assert "--tol" in capsys.readouterr().err
     assert run(["decompose", "--product", degree6_doc, "--method", "invariants"]) == 0
     capsys.readouterr()
 

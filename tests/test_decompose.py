@@ -364,6 +364,24 @@ def test_fiber_construction_keeps_double_inner_zero():
     assert abs(expected[1] - expected[2]) == pytest.approx(1e-9)
 
 
+@pytest.mark.parametrize("search, d", [(decompose_paired_search, 2), (decompose_tripled_3n, 3)])
+def test_split_keeps_close_outer_zeros_apart(search, d):
+    # Two outer zeros 5e-7 apart: an image tolerance of 1e-7 per degree of B
+    # would merge their fibers into one zero at the mean, but each fiber
+    # holds exactly d zeros, so both outer zeros keep their place.
+    rng = random.Random(40 + d)
+    outer_zeros = (0j, 0.3 + 0.2j, 0.3 + 0.2j + 5e-7, -0.4 + 0.1j)
+    inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(d - 1)))
+    composed = blaschke_compose(BlaschkeProduct(1.0, outer_zeros), inner)
+    assert abs(composed.constant - 1.0) <= 1e-12
+    zeros = list(composed.zeros)
+    rng.shuffle(zeros)
+    b = BlaschkeProduct(1.0, tuple(zeros))
+    dec = search(b)
+    assert multiset_close(dec.outer.zeros, outer_zeros, 1e-12)
+    assert roundtrip_residual(dec, b) <= 1e-7
+
+
 def test_one_fiber_split_per_search(monkeypatch):
     splits = []
 
