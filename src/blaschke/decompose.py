@@ -92,7 +92,10 @@ def _fiber_split(
         fiber = {0, *nearest[: d - 1]}
         outer_zeros.append(sum(images[i] for i in sorted(fiber)) / d)
         images = [w for i, w in enumerate(images) if i not in fiber]
-    constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
+    try:
+        constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
+    except NormalizationError as exc:
+        raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
     dec = Decomposition(inner, BlaschkeProduct(constant, tuple(outer_zeros)), source)
     residual = roundtrip_residual(dec, product)
     if not residual <= ROUNDTRIP_TOL:
@@ -150,15 +153,6 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
 
 
-def _split_through(
-    product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
-) -> Decomposition:
-    try:
-        return _fiber_split(product, inner, source)
-    except (NormalizationError, DecompositionError) as exc:
-        raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
-
-
 def _split_through_degree(product: BlaschkeProduct, d: int, source: DecompositionSource) -> Decomposition:
     try:
         return _fiber_split(product, _inner_from_fibers(product, d), source)
@@ -184,7 +178,7 @@ def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) ->
     if gamma is None:
         raise NoInteriorFixedPoint("generator has no fixed point inside the open disk")
     inner = BlaschkeProduct(1.0, (gamma,) * k)
-    return _split_through(product, inner, DecompositionSource.INVARIANT_GROUP)
+    return _fiber_split(product, inner, DecompositionSource.INVARIANT_GROUP)
 
 
 def check_paired_conditions_2n(
@@ -223,7 +217,7 @@ def decompose_paired_2n(product: BlaschkeProduct, a1_index: int) -> Decompositio
     if abs(a1) <= ORIGIN_ZERO_TOL:
         raise ConditionsUnsatisfied("the distinguished zero a1 must be nonzero")
     inner = BlaschkeProduct(1.0, (0j, a1))
-    return _split_through(product, inner, DecompositionSource.PAIRED_ZEROS_2N)
+    return _fiber_split(product, inner, DecompositionSource.PAIRED_ZEROS_2N)
 
 
 def _triple_residuals(

@@ -118,21 +118,12 @@ def moebius_power(m: MoebiusTransform, n: int) -> MoebiusTransform:
 
 
 def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT_CLOSURE_TOL) -> OrbitReport:
-    """Orbit report for ``0, M(0), ..., M^{n-1}(0)`` by pointwise iteration.
-
-    A closed orbit lies on a circle through 0 that M turns, keeping the
-    cyclic order, and the orbit point nearest 0 is a circular neighbour of
-    it; its index s is the step between neighbours, and the gap is the
-    minimum over the n pairs (j, j + s).  An orbit that does not close takes
-    the minimum over all pairs.
-    """
+    """Orbit report for ``0, M(0), ..., M^{n-1}(0)`` by pointwise iteration."""
     if n < 1:
         raise ValueError("need at least one orbit point")
     points, closes = _orbit_of_zero(m, n, closure_tol)
     if n == 1:
         gap = math.inf
-    elif closes:
-        gap = _neighbour_gap(points, min(range(1, n), key=lambda j: abs(points[j])))
     else:
         gap = min(abs(x - y) for x, y in combinations(points, 2))
     return OrbitReport(points, closes, gap)
@@ -143,12 +134,6 @@ def _orbit_of_zero(m: MoebiusTransform, n: int, closure_tol: float) -> tuple[tup
     for _ in range(n - 1):
         points.append(moebius_eval(m, points[-1]))
     return tuple(points), abs(moebius_eval(m, points[-1])) <= closure_tol
-
-
-def _neighbour_gap(points: tuple[complex, ...], step: int) -> float:
-    # Of a closed orbit whose circular neighbours are ``step`` indices apart.
-    n = len(points)
-    return min(abs(points[j] - points[(j + step) % n]) for j in range(n))
 
 
 def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> Optional[int]:
@@ -274,7 +259,8 @@ def solve_unimodular_c(
             continue
         c = cmath.exp(2j * math.acos(scale * math.cos(math.pi * k / n)))
         points, closes = _orbit_of_zero(MoebiusTransform(c, alpha), n, ORBIT_CLOSURE_TOL)
-        gap = _neighbour_gap(points, pow(k, -1, n) if g == 1 else n // g)
+        step = pow(k, -1, n) if g == 1 else n // g
+        gap = min(abs(points[j] - points[(j + step) % n]) for j in range(n))
         if closes and gap >= tol:
             solutions.append((c, OrbitReport(points, closes, gap)))
     if not solutions:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import json
 import math
 import random
@@ -9,7 +11,14 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from blaschke import BlaschkeProduct, FigureSpec, poncelet_ellipse, render_svg
+from blaschke import (
+    BlaschkeProduct,
+    FigureSpec,
+    MoebiusTransform,
+    moebius_iterate_zero,
+    poncelet_ellipse,
+    render_svg,
+)
 from blaschke.cli import product_from_document, product_to_document, run
 from conftest import random_product
 
@@ -139,6 +148,32 @@ def test_construct_rejects_open_orbit(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.err)["error"] == "OrbitNotClosed"
+
+
+def test_construct_loose_tol_checks_every_pair(capsys):
+    # With --tol 0.5 an orbit may close loosely; it is refused as degenerate
+    # exactly when some pair of its points, neighbours or not, is closer
+    # than 0.5.
+    rng = random.Random(1)
+    codes = set()
+    for _ in range(80):
+        n = rng.randint(3, 12)
+        alpha = complex(round(rng.uniform(-0.6, 0.6), 3), round(rng.uniform(-0.6, 0.6), 3))
+        c = cmath.exp(1j * round(rng.uniform(-3.14, 3.14), 3))
+        orbit = moebius_iterate_zero(MoebiusTransform(c / abs(c), alpha), n, 0.5)
+        if not orbit.closes:
+            continue
+        gap = min(abs(p - q) for p, q in itertools.combinations(orbit.points, 2))
+        assert orbit.min_pairwise_gap == gap
+        code = run(["construct", "--alpha", f"{alpha.real!r},{alpha.imag!r}",
+                    "--c", f"{c.real!r},{c.imag!r}", "--degree", str(n), "--tol", "0.5"])
+        captured = capsys.readouterr()
+        if gap < 0.5:
+            assert code == 1 and json.loads(captured.err)["error"] == "OrbitDegenerate"
+        else:
+            assert code == 0 and len(json.loads(captured.out)["zeros"]) == n
+        codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_compose_command(capsys, tmp_path):

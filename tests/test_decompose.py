@@ -91,6 +91,23 @@ def test_invariants_route_rejects_bad_order():
         decompose_via_invariants(b, group)
 
 
+def test_invariants_route_error_classes(monkeypatch, degree4_case_b_product):
+    # A group the product is not invariant under leaves zeros outside the
+    # fibers; a right group whose split misses the round trip is a failed
+    # decomposition, not a failed grouping.
+    import blaschke.decompose
+
+    involution = InvariantGroup(MoebiusTransform(-1.0, 0.0), 2)
+    with pytest.raises(ConditionsUnsatisfied):
+        decompose_via_invariants(BlaschkeProduct(1.0, (0j, 0.1, 0.2, 0.3)), involution)
+    b = degree4_case_b_product
+    group = find_invariant_group(b)[0]
+    recover = blaschke.decompose.recover_constant
+    monkeypatch.setattr(blaschke.decompose, "recover_constant", lambda *args: -recover(*args))
+    with pytest.raises(DecompositionError):
+        decompose_via_invariants(b, group)
+
+
 def test_inner_factor_invariant_under_generator(degree4_case_b_product):
     b = degree4_case_b_product
     group = find_invariant_group(b)[0]

@@ -16,9 +16,7 @@ from blaschke import (
     DomainError,
     MoebiusTransform,
     NoSolution,
-    OrbitDegenerate,
     closure_polynomial,
-    construct_invariant_product,
     moebius_compose,
     moebius_eval,
     moebius_fixed_point_in_disk,
@@ -383,8 +381,7 @@ def all_pairs_solutions(alpha, n):
 @pytest.mark.parametrize("radius", [0.1, 0.45, 0.9])
 def test_neighbour_gap_matches_all_pairs_gap(radius):
     # The circular neighbours of each orbit point give the all-pairs minimum,
-    # and any tol > 0 drops the same orbits as the all-pairs gap did; the
-    # same holds when the step is read off the closed orbit itself.
+    # and any tol > 0 drops the same orbits as the all-pairs gap did.
     alpha = radius * cmath.exp(0.7j)
     for n in range(2, 101):
         expected = all_pairs_solutions(alpha, n)
@@ -392,13 +389,3 @@ def test_neighbour_gap_matches_all_pairs_gap(radius):
             got = solve_unimodular_c(alpha, n, tol)
             assert [(c, orbit.points, orbit.closes) for c, orbit in got] == [(c, pts, True) for c, pts, _ in kept]
             assert all(abs(orbit.min_pairwise_gap - gap) <= 1e-15 for (_, orbit), (*_, gap) in zip(got, kept))
-        for c, pts, gap in expected:
-            m = MoebiusTransform(c, alpha)
-            orbit = moebius_iterate_zero(m, n)
-            assert (orbit.points, orbit.closes) == (pts, True)
-            assert abs(orbit.min_pairwise_gap - gap) <= 1e-15
-            if gap >= ORBIT_DISTINCT_TOL:
-                assert construct_invariant_product(m, n).zeros == pts
-            else:
-                with pytest.raises(OrbitDegenerate):
-                    construct_invariant_product(m, n)
