@@ -1,8 +1,9 @@
 """Command line front end with JSON input/output and an SVG plotter.
 
-Every subcommand maps onto one public library operation.  Domain errors are
-reported as a machine-readable ``{"error", "detail"}`` object on stderr with
-exit code 1; argument parsing failures exit with code 2.
+Every subcommand maps onto one public library operation.  Domain errors and
+files that cannot be read or written are reported as a machine-readable
+``{"error", "detail"}`` object on stderr with exit code 1; argument parsing
+failures exit with code 2.
 """
 
 from __future__ import annotations
@@ -284,7 +285,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         result = _HANDLERS[args.command](args)
-    except (BlaschkeError, ValueError) as exc:
+    except (BlaschkeError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -13,7 +13,9 @@ or, for a canonical product, from one or two nonzero zeros:
 ``z (z - a1)/(1 - conj(a1) z)`` and its degree-3 analogue.
 The paired and tripled searches need no choice of zeros: B's boundary
 preimages of 1 fall into the fibers of any inner factor in a fixed cyclic
-pattern, which gives the only candidate of each degree directly.  The
+pattern, which gives the only candidate of each degree directly.  A
+degree-d route solves only two of those fibers, classes 0 and 1 of
+the walk from t = 0: 2d of the n preimages.  The
 paper's paired and tripled zero conditions are Vieta's formulas for such
 fibers; :func:`check_paired_conditions_2n` and
 :func:`check_tripled_conditions_3n` evaluate them for a grouping the caller
@@ -40,8 +42,8 @@ from .numerics import ComplexPolynomial, poly_roots
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
+    _phase_points,
     blaschke_eval,
-    blaschke_preimages,
     is_canonical,
     probe_points,
     recover_constant,
@@ -127,10 +129,11 @@ def _require_cover(
 def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     """The inner factor D of degree d, D(0) = 0 and constant 1, that B would factor through.
 
-    If B = C ∘ D, the boundary preimages of 1 under B, sorted by argument,
-    pass C's m = n/d preimages of 1 in the same cyclic order on each of D's
-    d turns, so each class ``pts[j::m]`` is a fiber of D and D is unique.
-    With F_j the monic polynomial on class j and mu = F_0(0)/F_1(0), where
+    If B = C ∘ D, the walk from t = 0 through B's boundary preimages of 1
+    passes C's m = n/d preimages of 1 in the same cyclic order on each of
+    D's d turns, so each class of walk indices mod m is a fiber of D and D
+    is unique.  Only classes 0 and 1 are solved: 2d of the n points.  With
+    F_j the monic polynomial on class j and mu = F_0(0)/F_1(0), where
     |F_1(0)| = 1, F_0 - mu F_1 is a multiple of D's numerator.  Its constant
     term vanishes with D(0), and the rest has D's other zeros as roots.
     C(0) = C(D(0)) = B(0) = 0, so these are zeros of B: each root is snapped
@@ -142,9 +145,9 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     if m == 1:
         picks = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
     else:
-        pts = blaschke_preimages(product, 1.0)
-        f0 = ComplexPolynomial.from_roots(pts[0::m])
-        f1 = ComplexPolynomial.from_roots(pts[1::m])
+        pts = _phase_points(product, 1.0, [i for i in range(n) if i % m < 2])
+        f0 = ComplexPolynomial.from_roots(pts[0::2])
+        f1 = ComplexPolynomial.from_roots(pts[1::2])
         pencil = ComplexPolynomial((f0 - f1.scaled(f0(0j) / f1(0j))).coeffs[1:])
         roots = poly_roots(pencil) if pencil.degree == d - 1 else []
         picks = [min(range(n), key=lambda i: abs(zeros[i] - root)) for root in roots]

@@ -158,6 +158,8 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     finite, hence cyclic, subgroup of the disk automorphisms, so every other
     invariant is one of its powers.
     """
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     if not is_canonical(product):
         raise BadShape("invariant search requires a canonical product")
     n = product.degree

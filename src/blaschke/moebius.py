@@ -248,8 +248,8 @@ def solve_unimodular_c(
         raise ValueError("alpha must lie inside the open disk")
     if n < 2:
         raise ValueError("need n >= 2")
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     r = abs(alpha)
     scale = math.sqrt((1.0 - r) * (1.0 + r))
     solutions = []

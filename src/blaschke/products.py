@@ -223,6 +223,45 @@ def _solve_phase(
     return t, error, speed
 
 
+def _phase_points(product: BlaschkeProduct, lam: complex, picks: Iterable[int]) -> tuple[complex, ...]:
+    """The boundary solutions of ``B(z) = lam`` at the ascending walk indices ``picks``.
+
+    Walk index i is the solution of Phi(t) = arg lam + 2 pi (first + i), where
+    ``first`` is the smallest k with a solution t >= 0, so the indices
+    0, ..., n - 1 run through the solutions in [0, 2 pi) by increasing t.
+    Each is found by safeguarded Newton, started at the previous solution
+    plus the phase still to go over Phi' there, the previous solution being
+    the low end of its bracket.  The points come back in the order of
+    ``picks``; raises :class:`NonConvergence` as
+    :func:`blaschke_preimages` does.
+    """
+    lam = require_finite(lam)
+    if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
+        raise DomainError(f"|lambda| = {abs(lam)!r} is not within {UNIT_MODULUS_TOL} of 1")
+    terms = [(a.real, a.imag, 1.0 - abs(a) ** 2) for a in product.zeros]
+    base = math.atan2(product.constant.imag, product.constant.real)
+    theta, turn = math.atan2(lam.imag, lam.real), 2.0 * math.pi
+    phase, speed = _boundary_phase(terms, base, 0.0)
+    first = math.ceil((phase - theta) / turn)
+    # Phase from t to the target of walk index ``reached``; 0 once t solves it.
+    t, ahead, reached = 0.0, theta + turn * first - phase, 0
+    points = []
+    for i in picks:
+        guess = t + (ahead + turn * (i - reached)) / speed
+        t, error, speed = _solve_phase(terms, base, theta + turn * (first + i), t, turn, guess)
+        if not abs(error) <= PREIMAGE_PHASE_TOL:
+            cos_t, sin_t = math.cos(t), math.sin(t)
+            reach = sum(1.0 / math.hypot(cos_t - re, sin_t - im) for re, im, _ in terms)
+            bound = PREIMAGE_PHASE_TOL + PREIMAGE_ROUNDING * reach
+            if not abs(error) <= bound:
+                raise NonConvergence(
+                    f"boundary phase error {abs(error):.3e} at t = {t!r} exceeds {bound:.3e}"
+                )
+        points.append(complex(math.cos(t), math.sin(t)))
+        ahead, reached = 0.0, i
+    return tuple(points)
+
+
 def blaschke_preimages(product: BlaschkeProduct, lam: complex) -> tuple[complex, ...]:
     """The ``degree`` boundary solutions of ``B(z) = lam``, sorted by argument.
 
@@ -240,27 +279,5 @@ def blaschke_preimages(product: BlaschkeProduct, lam: complex) -> tuple[complex,
     The rounding term is large only next to a zero near the circle, where B
     is so steep that no double z does better.
     """
-    lam = require_finite(lam)
-    if abs(abs(lam) - 1.0) > UNIT_MODULUS_TOL:
-        raise DomainError(f"|lambda| = {abs(lam)!r} is not within {UNIT_MODULUS_TOL} of 1")
-    terms = [(a.real, a.imag, 1.0 - abs(a) ** 2) for a in product.zeros]
-    base = math.atan2(product.constant.imag, product.constant.real)
-    theta, turn = math.atan2(lam.imag, lam.real), 2.0 * math.pi
-    phase, speed = _boundary_phase(terms, base, 0.0)
-    first = math.ceil((phase - theta) / turn)
-    t, guess = 0.0, (theta + turn * first - phase) / speed
-    points = []
-    for k in range(first, first + product.degree):
-        t, error, speed = _solve_phase(terms, base, theta + turn * k, t, turn, guess)
-        if not abs(error) <= PREIMAGE_PHASE_TOL:
-            cos_t, sin_t = math.cos(t), math.sin(t)
-            reach = sum(1.0 / math.hypot(cos_t - re, sin_t - im) for re, im, _ in terms)
-            bound = PREIMAGE_PHASE_TOL + PREIMAGE_ROUNDING * reach
-            if not abs(error) <= bound:
-                raise NonConvergence(
-                    f"boundary phase error {abs(error):.3e} at t = {t!r} exceeds {bound:.3e}"
-                )
-        points.append(complex(math.cos(t), math.sin(t)))
-        guess = t + turn / speed
-    points.sort(key=lambda z: math.atan2(z.imag, z.real))
-    return tuple(points)
+    points = _phase_points(product, lam, range(product.degree))
+    return tuple(sorted(points, key=lambda z: math.atan2(z.imag, z.real)))

@@ -15,9 +15,11 @@ from blaschke import (
     BlaschkeProduct,
     FigureSpec,
     MoebiusTransform,
+    construct_invariant_product,
     moebius_iterate_zero,
     poncelet_ellipse,
     render_svg,
+    solve_unimodular_c,
 )
 from blaschke.cli import product_from_document, product_to_document, run
 from conftest import random_product
@@ -221,6 +223,38 @@ def test_domain_error_exit_code(capsys, tmp_path):
     err = json.loads(captured.err)
     assert err["error"] == "BadShape"
     assert "detail" in err
+
+
+def assert_error_exit(capsys, argv, error):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == error
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("missing, error", [(True, "FileNotFoundError"), (False, "IsADirectoryError")])
+def test_unreadable_input_file(capsys, tmp_path, poncelet_doc, missing, error):
+    bad = str(tmp_path / "absent.json") if missing else str(tmp_path)
+    assert_error_exit(capsys, ["preimages", "--product", bad, "--lambda", "1,0"], error)
+    assert_error_exit(capsys, ["compose", "--inner", bad, "--outer", poncelet_doc], error)
+    assert_error_exit(capsys, ["compose", "--inner", poncelet_doc, "--outer", bad], error)
+
+
+@pytest.mark.parametrize("missing, error", [(True, "FileNotFoundError"), (False, "IsADirectoryError")])
+def test_unwritable_plot_out(capsys, tmp_path, poncelet_doc, missing, error):
+    out = str(tmp_path / "absent" / "figure.svg") if missing else str(tmp_path)
+    assert_error_exit(capsys, ["plot", "--product", poncelet_doc, "--out", out], error)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_invariants_rejects_negative_or_nan_tol(capsys, tmp_path, tol):
+    c = solve_unimodular_c(0.5, 6)[0][0]
+    path = tmp_path / "orbit6.json"
+    path.write_text(json.dumps(product_to_document(construct_invariant_product(MoebiusTransform(c, 0.5), 6))))
+    assert run_json(capsys, ["invariants", "--product", str(path)])[0]["order"] == 6
+    assert_error_exit(capsys, ["invariants", "--product", str(path), "--tol", tol], "ValueError")
+    assert_error_exit(capsys, ["solve-c", "--alpha", "0.5,0", "--degree", "6", "--tol", tol], "ValueError")
 
 
 def test_condition_error_exit_code(capsys, tmp_path):

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import blaschke.products
 from blaschke import (
     BadShape,
     BlaschkeError,
@@ -20,6 +21,7 @@ from blaschke import (
     blaschke_compose,
     blaschke_equal,
     blaschke_eval,
+    blaschke_preimages,
     check_paired_conditions_2n,
     check_tripled_conditions_3n,
     construct_invariant_product,
@@ -35,6 +37,7 @@ from blaschke import (
     solve_unimodular_c,
 )
 from blaschke.decompose import _fiber_split, _inner_from_fibers
+from blaschke.numerics import ComplexPolynomial, poly_roots
 from blaschke.products import ORIGIN_ZERO_TOL
 from conftest import (
     DRIFT_CASES,
@@ -428,6 +431,73 @@ def test_inner_from_fibers_any_degree(d):
         dec = _fiber_split(b, inner, DecompositionSource.TRIPLED_ZEROS_3N)
         assert dec.outer.degree == m
         assert roundtrip_residual(dec, b) <= 1e-7
+
+
+def sorted_class_inner_zeros(product, d):
+    """Inner zeros from the pencil on classes 0 and 1 of all n preimages sorted by argument.
+
+    This is how the inner factor was built before the walk solved only two
+    classes; it serves as the reference.
+    """
+    zeros, n = product.zeros, product.degree
+    m = n // d
+    pts = blaschke_preimages(product, 1.0)
+    f0 = ComplexPolynomial.from_roots(pts[0::m])
+    f1 = ComplexPolynomial.from_roots(pts[1::m])
+    pencil = ComplexPolynomial((f0 - f1.scaled(f0(0j) / f1(0j))).coeffs[1:])
+    roots = poly_roots(pencil) if pencil.degree == d - 1 else []
+    picks = [min(range(n), key=lambda i: abs(zeros[i] - root)) for root in roots]
+    if len(picks) != d - 1 or any(abs(zeros[i]) <= ORIGIN_ZERO_TOL for i in picks):
+        raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} nonzero zero(s) of B")
+    return (0j,) + tuple(zeros[i] for i in sorted(picks))
+
+
+def split_outcome(product, build):
+    """(inner zeros, split repr) from a candidate builder, or the exception class for both."""
+    try:
+        zeros = build()
+        return zeros, repr(_fiber_split(product, BlaschkeProduct(1.0, zeros), DecompositionSource.PAIRED_ZEROS_2N))
+    except BlaschkeError as exc:
+        return type(exc), type(exc)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_two_walk_classes_give_the_sorted_classes_split(d):
+    # On a composition both class pairs are fibers of the inner factor, so
+    # the candidate is the same to the bit.  A random product has no inner
+    # factor: its classes are no fibers and the candidates may differ, but
+    # neither splits the product.
+    rng = random.Random(700 + d)
+    compositions = [
+        shuffled_composition(rng, d, m, radius, LOOSE_CONSTANT_TOL)
+        for m, radius in ((2, 0.99), (3, 0.8), (4, 0.95), (7, 0.99), (60 // d, 0.9), (60 // d, 0.99))
+    ]
+    for b in compositions + [random_canonical(rng, d * m) for m in (2, 3, 5, 8, 60 // d)]:
+        found = split_outcome(b, lambda: _inner_from_fibers(b, d).zeros)
+        expected = split_outcome(b, lambda: sorted_class_inner_zeros(b, d))
+        assert found[1] == expected[1]
+        if b in compositions:
+            assert found[0] == expected[0]
+
+
+def test_inner_from_fibers_solves_two_classes(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return solve_phase(*args)
+
+    solve_phase = blaschke.products._solve_phase
+    monkeypatch.setattr(blaschke.products, "_solve_phase", counted)
+    rng = random.Random(31)
+    for d, m in ((2, 2), (2, 12), (3, 5), (3, 9), (4, 3)):
+        for b in (shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL), random_canonical(rng, d * m)):
+            solves.clear()
+            try:
+                _inner_from_fibers(b, d)
+            except ConditionsUnsatisfied:
+                pass
+            assert len(solves) == 2 * d
 
 
 @pytest.mark.parametrize("search", [decompose_paired_search, decompose_tripled_3n])

@@ -127,6 +127,15 @@ def test_find_group_empty_for_generic_zeros():
     assert find_invariant_group(b) == ()
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+def test_find_group_rejects_negative_or_nan_tol(tol):
+    c = solve_unimodular_c(0.5, 6)[0][0]
+    b = construct_invariant_product(MoebiusTransform(c, 0.5), 6)
+    assert find_invariant_group(b)[0].order == 6
+    with pytest.raises(ValueError, match="nonnegative"):
+        find_invariant_group(b, tol)
+
+
 def test_find_group_requires_canonical():
     with pytest.raises(BadShape):
         find_invariant_group(BlaschkeProduct(1j, (0j, 0.5)))

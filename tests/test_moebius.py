@@ -271,6 +271,12 @@ def test_solve_no_solution_for_huge_gap():
         solve_unimodular_c(0.5, 3, tol=0.9)
 
 
+@pytest.mark.parametrize("tol", [-1.0, math.nan])
+def test_solve_rejects_negative_or_nan_tol(tol):
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_unimodular_c(0.5, 6, tol=tol)
+
+
 def test_solve_requires_nonzero_alpha():
     with pytest.raises(ValueError):
         solve_unimodular_c(0.0, 3)

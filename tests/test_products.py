@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import blaschke.products
 from blaschke import (
+    BlaschkeError,
     BlaschkeProduct,
     DomainError,
     MoebiusTransform,
@@ -243,9 +244,13 @@ def assert_preimages(b: BlaschkeProduct, lam: complex, pts, rounding: float = 0.
     args = [math.atan2(p.imag, p.real) for p in pts]
     assert all(x < y for x, y in zip(args, args[1:]))
     for p in pts:
-        assert abs(abs(p) - 1.0) <= 1e-15
-        allowance = rounding * sum(1.0 / abs(p - a) for a in b.zeros)
-        assert abs(blaschke_eval(b, p) - lam) <= 1e-10 * b.degree + allowance
+        assert_preimage(b, lam, p, rounding)
+
+
+def assert_preimage(b: BlaschkeProduct, lam: complex, p: complex, rounding: float = 0.0) -> None:
+    assert abs(abs(p) - 1.0) <= 1e-15
+    allowance = rounding * sum(1.0 / abs(p - a) for a in b.zeros)
+    assert abs(blaschke_eval(b, p) - lam) <= 1e-10 * b.degree + allowance
 
 
 @st.composite
@@ -313,3 +318,57 @@ def test_preimages_need_no_root_finder(monkeypatch):
         b = random_product(rng, degree)
         lam = cmath.exp(2j * math.pi * rng.random())
         assert_preimages(b, lam, blaschke_preimages(b, lam))
+
+
+def pick_patterns(rng, n):
+    """Ascending walk-index subsets: the two fiber classes of each divisor, and more."""
+    patterns = [[i for i in range(n) if i % m < 2] for m in range(2, n + 1) if n % m == 0]
+    patterns += [[0], [n - 1], sorted(rng.sample(range(n), rng.randint(1, n)))]
+    return patterns
+
+
+def test_phase_points_match_the_full_walk():
+    # Jumping over walk indices must land on the same solutions as walking
+    # through all of them; the largest deviation seen here is 1.3e-14.
+    rng = random.Random(17)
+    for degree in [1, 2, 3, 6, 12, 24, 45, 60, 100] + [rng.randint(2, 100) for _ in range(12)]:
+        b = random_product(rng, degree, radius=0.99)
+        lam = cmath.exp(2j * math.pi * rng.random())
+        full = blaschke.products._phase_points(b, lam, range(degree))
+        assert sorted(full, key=cmath.phase) == list(blaschke_preimages(b, lam))
+        for picks in pick_patterns(rng, degree):
+            points = blaschke.products._phase_points(b, lam, picks)
+            assert len(points) == len(picks)
+            assert max(abs(full[i] - z) for i, z in zip(picks, points)) <= 1e-13
+
+
+def walk_outcome(b, lam, picks):
+    try:
+        return blaschke.products._phase_points(b, lam, picks)
+    except BlaschkeError as exc:
+        return type(exc)
+
+
+def test_phase_points_next_to_a_zero_near_the_circle():
+    # B turns at up to 2e8 per radian next to the zero, so two solves of one
+    # walk index agree only up to the rounding allowance; each must still
+    # solve B = lam, be nearest to its own index of the full walk, and fail
+    # only where the full walk fails.
+    rng = random.Random(23)
+    near = (1.0 - 1e-8) * cmath.exp(1j)
+    for zeros in [(near,), (near, 0.3 - 0.2j, -0.5j, 0.6), (near, near, -0.7 + 0.1j), (near,) * 6]:
+        b = BlaschkeProduct(1.0, zeros)
+        n = b.degree
+        for offset in (0.0, 5e-9, 3e-8, 3e-6, 1e-3, 2.0):
+            lam = blaschke_eval(b, cmath.exp(1j * (1.0 + offset)))
+            lam /= abs(lam)
+            full = walk_outcome(b, lam, range(n))
+            for picks in pick_patterns(rng, n) + [[i] for i in range(n)]:
+                points = walk_outcome(b, lam, picks)
+                if isinstance(points, type):
+                    assert points == full
+                    continue
+                for i, z in zip(picks, points):
+                    assert_preimage(b, lam, z, rounding=1e-14)
+                    if not isinstance(full, type):
+                        assert min(range(n), key=lambda j: abs(full[j] - z)) == i
