@@ -25,12 +25,14 @@ from .decompose import (
 )
 from .errors import BadShape, BlaschkeError
 from .figures import FigureSpec, render_svg
-from .invariants import (
-    construct_invariant_product,
-    find_invariant_group,
-    verify_invariance,
+from .invariants import GROUP_MATCH_TOL, construct_invariant_product, find_invariant_group, verify_invariance
+from .moebius import (
+    ORBIT_CLOSURE_TOL,
+    ORBIT_DISTINCT_TOL,
+    MoebiusTransform,
+    moebius_iterate_zero,
+    solve_unimodular_c,
 )
-from .moebius import MoebiusTransform, moebius_iterate_zero, solve_unimodular_c
 from .poncelet import find_poncelet_ellipse
 from .products import BlaschkeProduct, blaschke_compose, blaschke_preimages
 
@@ -119,19 +121,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-c", help="unimodular constants closing the orbit of 0")
     p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7, help="orbit distinctness tolerance")
+    p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL, help="orbit distinctness tolerance")
 
     p = sub.add_parser("construct", help="invariant product from an orbit of 0")
     p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
     p.add_argument("--c", type=_complex_arg, required=True, metavar="RE,IM",
                    help="unimodular constant (projected onto the circle)")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-7,
+    p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL,
                    help="orbit closure and distinctness tolerance")
 
     p = sub.add_parser("invariants", help="invariant group of a product (a list of at most one)")
     p.add_argument("--product", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=GROUP_MATCH_TOL)
 
     p = sub.add_parser("verify", help="max residual of B(M(z)) - B(z)")
     p.add_argument("--product", required=True, metavar="FILE")
@@ -140,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split a product into a composition")
     p.add_argument("--product", required=True, metavar="FILE")
-    p.add_argument("--method", choices=("auto", "invariants", "paired", "tripled"), default="auto")
+    p.add_argument("--method", choices=("auto", "invariants", "paired", "tripled"), default="auto",
+                   help="auto: the smallest proper divisor d of the degree with a degree-d inner factor")
     p.add_argument("--a1-index", type=int, default=None)
 
     p = sub.add_parser("compose", help="composition outer ∘ inner of two products")
@@ -176,7 +179,7 @@ def _cmd_solve_c(args) -> Any:
 def _cmd_construct(args) -> Any:
     m = MoebiusTransform(args.c / abs(args.c), args.alpha)
     product = construct_invariant_product(
-        m, args.degree, distinct_tol=args.tol, closure_tol=max(args.tol, 1e-8)
+        m, args.degree, distinct_tol=args.tol, closure_tol=max(args.tol, ORBIT_CLOSURE_TOL)
     )
     return product_to_document(product)
 

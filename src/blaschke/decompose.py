@@ -7,19 +7,17 @@ outer factor (Garcia–Mashreghi–Ross, *Finite Blaschke Products and Their
 Connections*, 2018).  The split is accepted only when outer(inner(z)) = B(z)
 within ``ROUNDTRIP_TOL`` at n + 1 probes, which decides equality of
 degree-n products, so no route takes a tolerance of its own.
-The inner factor comes from an invariant group,
-``((z - g)/(1 - conj(g) z))^k`` at the generator's interior fixed point g,
-or, for a canonical product, from one or two nonzero zeros:
-``z (z - a1)/(1 - conj(a1) z)`` and its degree-3 analogue.
-The paired and tripled searches need no choice of zeros: B's boundary
-preimages of 1 fall into the fibers of any inner factor in a fixed cyclic
-pattern, which gives the only candidate of each degree directly.  A
-degree-d route solves only two of those fibers, classes 0 and 1 of
-the walk from t = 0: 2d of the n preimages.  The
-paper's paired and tripled zero conditions are Vieta's formulas for such
-fibers; :func:`check_paired_conditions_2n` and
-:func:`check_tripled_conditions_3n` evaluate them for a grouping the caller
-supplies.
+A canonical B factors through at most one inner factor D of degree d with
+D(0) = 0 and constant 1: B's boundary preimages of 1 fall into D's fibers
+in a fixed cyclic pattern, and two of those fibers, 2d of the n preimages,
+give D.  :func:`decompose_auto` tries it at each proper divisor d of the
+degree.  At d = 2 and 3 it is the paper's ``z (z - a1)/(1 - conj(a1) z)``
+and its degree-3 analogue, and every split through an invariant subgroup
+of order d factors through it.  The paper's explicit routes are here too:
+the invariant group's inner ``((z - g)/(1 - conj(g) z))^k`` at the
+generator's interior fixed point g, and the paired and tripled zero
+conditions, which are Vieta's formulas for such fibers, for a grouping the
+caller supplies.
 """
 
 from __future__ import annotations
@@ -57,6 +55,10 @@ class DecompositionSource(enum.Enum):
     INVARIANT_GROUP = "invariants"
     PAIRED_ZEROS_2N = "paired"
     TRIPLED_ZEROS_3N = "tripled"
+    BOUNDARY_FIBERS = "fibers"
+
+
+_DEGREE_SOURCES = {2: DecompositionSource.PAIRED_ZEROS_2N, 3: DecompositionSource.TRIPLED_ZEROS_3N}
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,8 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     |F_1(0)| = 1, F_0 - mu F_1 is a multiple of D's numerator.  Its constant
     term vanishes with D(0), and the rest has D's other zeros as roots.
     C(0) = C(D(0)) = B(0) = 0, so these are zeros of B: each root is snapped
-    to the nearest one, and the inner factor lists them in index order.
+    to the nearest one, which may be an origin zero (as for z^n), and the
+    inner factor lists them in index order.
     Whether B factors through the result is left to the fiber split.
     """
     zeros, n = product.zeros, product.degree
@@ -151,8 +154,8 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
         pencil = ComplexPolynomial((f0 - f1.scaled(f0(0j) / f1(0j))).coeffs[1:])
         roots = poly_roots(pencil) if pencil.degree == d - 1 else []
         picks = [min(range(n), key=lambda i: abs(zeros[i] - root)) for root in roots]
-    if len(picks) != d - 1 or any(abs(zeros[i]) <= ORIGIN_ZERO_TOL for i in picks):
-        raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} nonzero zero(s) of B")
+    if len(picks) != d - 1:
+        raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} other zero(s) of B")
     return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
 
 
@@ -188,7 +191,6 @@ def check_paired_conditions_2n(
     product: BlaschkeProduct,
     a1_index: int,
     pairing: Sequence[tuple[int, int]],
-    tol: float = CONDITION_TOL,
 ) -> StructuredZeroConditions:
     """Residuals of ``a1 + conj(a1) p q - p - q`` for the caller's pairing.
 
@@ -203,7 +205,7 @@ def check_paired_conditions_2n(
     residuals = tuple(
         a1 + a1.conjugate() * zeros[i] * zeros[j] - zeros[i] - zeros[j] for i, j in pairing
     )
-    satisfied = max((abs(r) for r in residuals), default=0.0) <= tol
+    satisfied = max((abs(r) for r in residuals), default=0.0) <= CONDITION_TOL
     return StructuredZeroConditions(residuals, satisfied)
 
 
@@ -237,7 +239,6 @@ def check_tripled_conditions_3n(
     a1_index: int,
     a2_index: int,
     triples: Sequence[tuple[int, int, int]],
-    tol: float = CONDITION_TOL,
 ) -> StructuredZeroConditions:
     """Residual pairs of the two triple conditions for the caller's grouping."""
     zeros = product.zeros
@@ -249,7 +250,7 @@ def check_tripled_conditions_3n(
     residuals: list[complex] = []
     for i, j, k in triples:
         residuals.extend(_triple_residuals(a1, a2, zeros[i], zeros[j], zeros[k]))
-    satisfied = max((abs(r) for r in residuals), default=0.0) <= tol
+    satisfied = max((abs(r) for r in residuals), default=0.0) <= CONDITION_TOL
     return StructuredZeroConditions(tuple(residuals), satisfied)
 
 
@@ -304,18 +305,21 @@ def decompose_paired_search(product: BlaschkeProduct) -> Decomposition:
 
 
 def decompose_auto(product: BlaschkeProduct) -> Decomposition:
-    """First nontrivial decomposition found trying invariants, then paired, then tripled.
+    """First nontrivial split, trying the proper divisors d of the degree in ascending order.
 
-    A route that fails with a :class:`BlaschkeError` or gives an outer factor
-    of degree 1 passes on to the next one; any other exception propagates.
+    Each d tries the one inner factor of degree d that B's boundary fibers
+    allow.  The source names the paper's route for d = 2 and 3 and is
+    ``BOUNDARY_FIBERS`` beyond.  A :class:`BlaschkeError` at one degree
+    passes on to the next; any other exception propagates.
     """
+    if not is_canonical(product):
+        raise DecompositionError("decomposition needs a canonical product")
+    n = product.degree
     failures: list[str] = []
-    for route in (decompose_invariants_search, decompose_paired_search, decompose_tripled_3n):
+    for d in [k for k in range(2, n) if n % k == 0]:
+        source = _DEGREE_SOURCES.get(d, DecompositionSource.BOUNDARY_FIBERS)
         try:
-            dec = route(product)
-            if dec.outer.degree == 1:
-                raise DecompositionError("only the trivial split, with an outer factor of degree 1")
-            return dec
+            return _split_through_degree(product, d, source)
         except BlaschkeError as exc:
-            failures.append(f"{route.__name__}: {exc}")
-    raise DecompositionError("no decomposition route succeeded: " + "; ".join(failures))
+            failures.append(f"degree {d}: {exc}")
+    raise DecompositionError(f"degree {n} splits at no proper divisor: " + ("; ".join(failures) or "it has none"))

@@ -70,6 +70,8 @@ def construct_invariant_product(
     zero, consist of pairwise distinct points.  For n = 1 the product is the
     empty-product case B(z) = z for any transformation.
     """
+    if not (distinct_tol >= 0 and closure_tol >= 0):
+        raise ValueError(f"tolerances must be nonnegative, got {distinct_tol!r} and {closure_tol!r}")
     if n == 1:
         return BlaschkeProduct(1.0, (0j,))
     orbit = moebius_iterate_zero(m, n, closure_tol)

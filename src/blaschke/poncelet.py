@@ -59,11 +59,7 @@ class ChordConcurrencyReport:
     distances: tuple[float, float]
 
 
-def poncelet_ellipse(
-    product: BlaschkeProduct,
-    foci_indices: tuple[int, int],
-    tol: float = CONDITION_TOL,
-) -> PonceletEllipse:
+def poncelet_ellipse(product: BlaschkeProduct, foci_indices: tuple[int, int]) -> PonceletEllipse:
     """The inscribed ellipse of a degree-4 product with the paired-zero condition.
 
     ``foci_indices`` selects the two zeros acting as foci; of the remaining
@@ -79,10 +75,10 @@ def poncelet_ellipse(
     rest = [k for k in range(n) if k not in (i, j)]
     rest.sort(key=lambda k: abs(product.zeros[k]))
     origin_index, a1_index = rest
-    conditions = check_paired_conditions_2n(product, a1_index, ((i, j),), tol)
+    conditions = check_paired_conditions_2n(product, a1_index, ((i, j),))
     if not conditions.satisfied:
         raise ConditionsUnsatisfied(
-            f"zero condition residual {abs(conditions.residuals[0]):.3e} exceeds {tol}"
+            f"zero condition residual {abs(conditions.residuals[0]):.3e} exceeds {CONDITION_TOL}"
         )
     f1, f2 = product.zeros[i], product.zeros[j]
     radicand = (abs(f1) ** 2 + abs(f2) ** 2 - 2.0) / (abs(f1) ** 2 * abs(f2) ** 2 - 1.0)
@@ -136,21 +132,16 @@ def _concurrent_pairing(
     return None
 
 
-def chord_concurrency(
-    product: BlaschkeProduct,
-    a1: complex,
-    lam: complex,
-    tol: float = CHORD_TOL,
-) -> ChordConcurrencyReport:
+def chord_concurrency(product: BlaschkeProduct, a1: complex, lam: complex) -> ChordConcurrencyReport:
     """Find the preimage pairing whose chords both pass through ``a1``.
 
     The four boundary preimages of ``lam`` admit three perfect pairings; the
-    first one whose two chords come within ``tol`` of ``a1`` is reported.
+    first one whose two chords come within ``CHORD_TOL`` of ``a1`` is reported.
     """
     if product.degree != 4:
         raise BadShape("chord concurrency needs degree 4")
     a1 = require_finite(a1)
-    report = _concurrent_pairing(blaschke_preimages(product, lam), a1, tol)
+    report = _concurrent_pairing(blaschke_preimages(product, lam), a1, CHORD_TOL)
     if report is None:
         raise NoConcurrentPairing(
             f"no chord pairing of the preimages of {lam!r} passes through {a1!r}"

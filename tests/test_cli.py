@@ -145,6 +145,19 @@ def test_decompose_method_tripled(capsys, tmp_path):
     assert out["roundtrip_residual"] <= 1e-7
 
 
+def test_decompose_auto_through_inner_degree_4(capsys, tmp_path):
+    import blaschke
+
+    inner = blaschke.BlaschkeProduct(1.0, (0j, 0.3 + 0.4j, -0.5 + 0.1j, 0.2 - 0.6j))
+    composed = blaschke.blaschke_compose(blaschke.BlaschkeProduct(1.0, (0j, 0.4 - 0.3j)), inner)
+    path = tmp_path / "composed8.json"
+    path.write_text(json.dumps(product_to_document(blaschke.BlaschkeProduct(1.0, composed.zeros))))
+    out = run_json(capsys, ["decompose", "--product", str(path)])
+    assert out["source"] == "fibers"
+    assert (len(out["inner"]["zeros"]), len(out["outer"]["zeros"])) == (4, 2)
+    assert out["roundtrip_residual"] <= 1e-7
+
+
 def test_construct_rejects_open_orbit(capsys):
     code = run(["construct", "--alpha", "0.5,0", "--c", "1,0", "--degree", "3"])
     captured = capsys.readouterr()
@@ -255,6 +268,14 @@ def test_invariants_rejects_negative_or_nan_tol(capsys, tmp_path, tol):
     assert run_json(capsys, ["invariants", "--product", str(path)])[0]["order"] == 6
     assert_error_exit(capsys, ["invariants", "--product", str(path), "--tol", tol], "ValueError")
     assert_error_exit(capsys, ["solve-c", "--alpha", "0.5,0", "--degree", "6", "--tol", tol], "ValueError")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_construct_rejects_negative_or_nan_tol(capsys, tol):
+    c = solve_unimodular_c(0.5, 3)[0][0]
+    args = ["construct", "--alpha", "0.5,0", "--c", f"{c.real!r},{c.imag!r}", "--degree", "3"]
+    assert len(run_json(capsys, args)["zeros"]) == 3
+    assert_error_exit(capsys, args + ["--tol", tol], "ValueError")
 
 
 def test_condition_error_exit_code(capsys, tmp_path):

@@ -512,10 +512,77 @@ def test_search_rejects_random_canonical_product(search, degree):
 # Auto route and obstruction facts.
 
 
-def test_auto_prefers_invariants(degree4_case_b_product):
-    dec = decompose_auto(degree4_case_b_product)
-    assert dec.source is DecompositionSource.INVARIANT_GROUP
-    assert_roundtrip(dec, degree4_case_b_product)
+def test_auto_takes_the_smallest_divisor(degree4_case_b_product):
+    # Both products are invariant under a group of the full degree, so every
+    # divisor splits them; the first one tried is 2.
+    for b in (degree4_case_b_product, orbit_product(6)):
+        dec = decompose_auto(b)
+        assert dec.source is DecompositionSource.PAIRED_ZEROS_2N
+        assert dec.inner.degree == 2
+        assert_roundtrip(dec, b)
+
+
+@pytest.mark.parametrize("d", [4, 5, 7])
+def test_auto_splits_through_any_inner_degree(d):
+    rng = random.Random(950 + d)
+    for m in (2, 3, 5):
+        b = shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL)
+        dec = decompose_auto(b)
+        assert dec.source is DecompositionSource.BOUNDARY_FIBERS
+        assert (dec.inner.degree, dec.outer.degree) == (d, m)
+        assert roundtrip_residual(dec, b) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [25, 35, 49])
+def test_auto_splits_orbit_products_without_the_invariant_search(monkeypatch, n):
+    import blaschke.decompose
+
+    b = orbit_product(n)
+
+    def no_search(*args):
+        raise AssertionError("the invariant search ran")
+
+    monkeypatch.setattr(blaschke.decompose, "find_invariant_group", no_search)
+    dec = decompose_auto(b)
+    assert dec.inner.degree == min(d for d in range(2, n) if n % d == 0)
+    assert roundtrip_residual(dec, b) <= 1e-7
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_auto_splits_a_power_of_z(n):
+    # The pencil roots all snap onto origin zeros: the inner factor has a
+    # multiple zero at 0, and the round trip alone accepts it.
+    b = BlaschkeProduct(1.0, (0j,) * n)
+    for d in [k for k in range(2, n) if n % k == 0]:
+        assert _inner_from_fibers(b, d).zeros == (0j,) * d
+    dec = decompose_auto(b)
+    assert dec.source is DecompositionSource.PAIRED_ZEROS_2N
+    assert dec.inner.zeros == (0j, 0j)
+    assert_roundtrip(dec, b)
+
+
+def test_auto_tries_each_proper_divisor_once(monkeypatch):
+    import blaschke.decompose
+
+    tried = []
+
+    def counted(product, d, source):
+        tried.append(d)
+        return split_through_degree(product, d, source)
+
+    split_through_degree = blaschke.decompose._split_through_degree
+    monkeypatch.setattr(blaschke.decompose, "_split_through_degree", counted)
+    rng = random.Random(17)
+    for degree in (4, 12, 16, 30, 49):
+        tried.clear()
+        with pytest.raises(DecompositionError):
+            decompose_auto(random_canonical(rng, degree))
+        assert tried == [d for d in range(2, degree) if degree % d == 0]
+    # A product that is not canonical is refused before any attempt.
+    tried.clear()
+    with pytest.raises(DecompositionError):
+        decompose_auto(BlaschkeProduct(1j, orbit_product(12).zeros))
+    assert tried == []
 
 
 def test_auto_on_paired_eligible_product():
@@ -572,7 +639,7 @@ def test_invariants_search_keeps_the_group_identity_tol(n, drift):
     # A constant off by `drift` radians: the group is found only at a looser
     # identity tolerance, and its subgroups must be declared at the same one.
     b = drifted_orbit_product(n, drift)
-    dec = decompose_auto(b)
+    dec = decompose_invariants_search(b)
     assert dec.source is DecompositionSource.INVARIANT_GROUP
     assert 1 < dec.outer.degree < n
     assert roundtrip_residual(dec, b) <= 1e-7
@@ -581,11 +648,15 @@ def test_invariants_search_keeps_the_group_identity_tol(n, drift):
 def test_drifted_degree6_product_has_one_group():
     # Its order-6 invariant misses the oracle (residual about 1.04e-7), while
     # its cube (order 2) and square (order 3) pass; the search keeps only the
-    # group of the larger order, and the split through it stands.
+    # group of the larger order, and the split through it stands.  The
+    # divisor loop tries degree 2 first, and that split stands too.
     b = drifted_orbit_product(6, 1e-8)
     assert [group.order for group in find_invariant_group(b)] == [3]
-    dec = decompose_auto(b)
+    dec = decompose_invariants_search(b)
     assert (dec.inner.degree, dec.outer.degree) == (3, 2)
+    dec = decompose_auto(b)
+    assert (dec.inner.degree, dec.outer.degree) == (2, 3)
+    assert roundtrip_residual(dec, b) <= 1e-7
 
 
 def test_auto_rejects_trivial_splits():
@@ -603,7 +674,7 @@ def test_auto_splits_without_the_aberth_iteration(monkeypatch):
     import blaschke.numerics
 
     cases = [
-        (orbit_product(9), DecompositionSource.INVARIANT_GROUP),
+        (orbit_product(9), DecompositionSource.TRIPLED_ZEROS_3N),
         (
             shuffled_composition(random.Random(27), 3, 9, constant_tol=LOOSE_CONSTANT_TOL),
             DecompositionSource.TRIPLED_ZEROS_3N,
@@ -650,10 +721,10 @@ def test_paired_search_reports_conditions_unsatisfied():
 def test_auto_propagates_programming_errors(monkeypatch, degree4_case_b_product):
     import blaschke.decompose
 
-    def broken(product):
+    def broken(product, d):
         raise TypeError("not a library failure")
 
-    monkeypatch.setattr(blaschke.decompose, "decompose_invariants_search", broken)
+    monkeypatch.setattr(blaschke.decompose, "_inner_from_fibers", broken)
     with pytest.raises(TypeError):
         decompose_auto(degree4_case_b_product)
 

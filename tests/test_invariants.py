@@ -136,6 +136,15 @@ def test_find_group_rejects_negative_or_nan_tol(tol):
         find_invariant_group(b, tol)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-12, math.nan])
+def test_construct_rejects_negative_or_nan_tol(tol):
+    m = MoebiusTransform(solve_unimodular_c(0.5, 6)[0][0], 0.5)
+    assert construct_invariant_product(m, 6).degree == 6
+    for kwargs in ({"distinct_tol": tol}, {"closure_tol": tol}):
+        with pytest.raises(ValueError, match="nonnegative"):
+            construct_invariant_product(m, 6, **kwargs)
+
+
 def test_find_group_requires_canonical():
     with pytest.raises(BadShape):
         find_invariant_group(BlaschkeProduct(1j, (0j, 0.5)))
