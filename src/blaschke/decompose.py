@@ -23,6 +23,7 @@ caller supplies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,6 @@ from .errors import (
 )
 from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
-from .numerics import ComplexPolynomial, poly_roots
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
@@ -83,19 +83,23 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     )
 
 
+def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
+    """Indices of ``points`` in clusters of ``size``: the first point left and the size - 1 nearest it."""
+    left, clusters = list(range(len(points))), []
+    while left:
+        nearest = sorted(left[1:], key=lambda i: abs(points[i] - points[left[0]]))
+        clusters.append(sorted([left[0], *nearest[: size - 1]]))
+        left = [i for i in left if i not in clusters[-1]]
+    return clusters
+
+
 def _fiber_split(
     product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
 ) -> Decomposition:
-    # A fiber is the first image left and the d - 1 images nearest it; the
-    # mean of its images, summed in index order, is a zero of the outer factor.
+    # The mean of each fiber's images, summed in index order, is an outer zero.
     d = inner.degree
     images = [blaschke_eval(inner, a) for a in product.zeros]
-    outer_zeros: list[complex] = []
-    while images:
-        nearest = sorted(range(1, len(images)), key=lambda i: abs(images[i] - images[0]))
-        fiber = {0, *nearest[: d - 1]}
-        outer_zeros.append(sum(images[i] for i in sorted(fiber)) / d)
-        images = [w for i, w in enumerate(images) if i not in fiber]
+    outer_zeros = [sum(images[i] for i in fiber) / d for fiber in _clusters(images, d)]
     try:
         constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
     except NormalizationError as exc:
@@ -134,13 +138,14 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     If B = C ∘ D, the walk from t = 0 through B's boundary preimages of 1
     passes C's m = n/d preimages of 1 in the same cyclic order on each of
     D's d turns, so each class of walk indices mod m is a fiber of D and D
-    is unique.  Only classes 0 and 1 are solved: 2d of the n points.  With
-    F_j the monic polynomial on class j and mu = F_0(0)/F_1(0), where
-    |F_1(0)| = 1, F_0 - mu F_1 is a multiple of D's numerator.  Its constant
-    term vanishes with D(0), and the rest has D's other zeros as roots.
-    C(0) = C(D(0)) = B(0) = 0, so these are zeros of B: each root is snapped
-    to the nearest one, which may be an origin zero (as for z^n), and the
-    inner factor lists them in index order.
+    is unique.  Only classes 0 and 1 are solved: 2d of the n points.  Over
+    their points p and q, R(z) = prod (z - p)/(z - q) is a Möbius function of
+    D(z), so B's zeros a with R(a) = R(0) are D's zero fiber, each k times if
+    C has a k-fold zero at 0.  Sorted by |R(a) - R(0)|, floored at rounding
+    level so that exact origin zeros give no 0/0, and followed by |R(0)|,
+    the fiber ends at the largest ratio of the (jd + 1)-th value to the
+    (jd)-th, j = 1, ..., m.  The first of each cluster of k but the one
+    nearest 0 are D's other zeros, origin zeros included (as for z^n).
     Whether B factors through the result is left to the fiber split.
     """
     zeros, n = product.zeros, product.degree
@@ -149,11 +154,13 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
         picks = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
     else:
         pts = _phase_points(product, 1.0, [i for i in range(n) if i % m < 2])
-        f0 = ComplexPolynomial.from_roots(pts[0::2])
-        f1 = ComplexPolynomial.from_roots(pts[1::2])
-        pencil = ComplexPolynomial((f0 - f1.scaled(f0(0j) / f1(0j))).coeffs[1:])
-        roots = poly_roots(pencil) if pencil.degree == d - 1 else []
-        picks = [min(range(n), key=lambda i: abs(zeros[i] - root)) for root in roots]
+        r0, *r = [math.prod((z - p) / (z - q) for p, q in zip(pts[0::2], pts[1::2])) for z in (0j, *zeros)]
+        order = sorted((max(abs(ri - r0), math.ulp(1.0) * n * abs(r0)), i) for i, ri in enumerate(r))
+        dist = [g for g, _ in order] + [abs(r0)]
+        k = max(range(1, m + 1), key=lambda j: dist[j * d] / dist[j * d - 1])
+        fiber = sorted(i for _, i in order[: k * d])
+        firsts = [fiber[c[0]] for c in _clusters([zeros[i] for i in fiber], k)]
+        picks = sorted(firsts, key=lambda i: abs(zeros[i]))[1:]
     if len(picks) != d - 1:
         raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} other zero(s) of B")
     return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))

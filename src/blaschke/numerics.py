@@ -1,8 +1,8 @@
 """Dense complex polynomials and a simultaneous root finder.
 
-Composition equations and decomposition fiber pencils are solved by
-:func:`poly_roots`, an Aberth-Ehrlich iteration that refines all roots of a
-polynomial at once.  Fixed points solve a quadratic in closed form; boundary
+Composition equations are solved by :func:`poly_roots`, an Aberth-Ehrlich
+iteration that refines all roots of a polynomial at once; decompositions
+need no root find.  Fixed points solve a quadratic in closed form; boundary
 preimages are solved on the circle from the boundary phase (see ``products``).
 """
 

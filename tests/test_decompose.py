@@ -36,7 +36,7 @@ from blaschke import (
     roundtrip_residual,
     solve_unimodular_c,
 )
-from blaschke.decompose import _fiber_split, _inner_from_fibers
+from blaschke.decompose import ROUNDTRIP_TOL, _fiber_split, _inner_from_fibers, _split_through_degree
 from blaschke.numerics import ComplexPolynomial, poly_roots
 from blaschke.products import ORIGIN_ZERO_TOL
 from conftest import (
@@ -433,11 +433,53 @@ def test_inner_from_fibers_any_degree(d):
         assert roundtrip_residual(dec, b) <= 1e-7
 
 
+@pytest.mark.parametrize("seed", [12, 21, 36, 38, 41])
+def test_split_through_degree_21(seed):
+    # Inner degree 21, outer degree 2, zeros |z| <= 0.8, at seeds where D has
+    # zeros close enough that no root find of degree 20 keeps them apart.  The
+    # composed zeros solve D(z) = w to about 1e-11, but D's close zeros are
+    # ill-conditioned: those over w = 0 are up to 5e-6 off the factor's, and
+    # the recovered constant is up to 2e-5 off 1.  So B is the canonical
+    # product on the composed zeros, and its inner factor has exactly the
+    # composed zeros over 0.
+    rng = random.Random(seed)
+    inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(20)))
+    composed = blaschke_compose(BlaschkeProduct(1.0, (0j, random_interior(rng))), inner)
+    zeros = list(composed.zeros)
+    rng.shuffle(zeros)
+    b = BlaschkeProduct(1.0, tuple(zeros))
+    dec = _split_through_degree(b, 21, DecompositionSource.BOUNDARY_FIBERS)
+    assert roundtrip_residual(dec, b) <= ROUNDTRIP_TOL
+    over_origin = sorted(composed.zeros[:21], key=abs)[1:]
+    key = lambda z: (z.real, z.imag)
+    assert sorted(dec.inner.zeros[1:], key=key) == sorted(over_origin, key=key)
+    assert multiset_close(dec.inner.zeros, inner.zeros, 1e-5)
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("k", [2, 3])
+def test_inner_from_fibers_on_a_repeated_zero_fiber(d, k):
+    # C has a k-fold zero at 0, so B has each zero of D k times, here apart
+    # by up to 2e-10: the inner factor must list each zero of D once, the
+    # origin included.
+    rng = random.Random(10 * d + k)
+    inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(d - 1)))
+    for others in ((), (random_interior(rng, 0.7),)):
+        composed = blaschke_compose(BlaschkeProduct(1.0, (0j,) * k + others), inner)
+        zeros = [z + random_interior(rng, 1e-10) for z in composed.zeros]
+        rng.shuffle(zeros)
+        b = BlaschkeProduct(1.0, tuple(zeros))
+        assert multiset_close(_inner_from_fibers(b, d).zeros, inner.zeros, 1e-9)
+        dec = _split_through_degree(b, d, DecompositionSource.BOUNDARY_FIBERS)
+        assert dec.outer.degree == k + len(others)
+        assert roundtrip_residual(dec, b) <= ROUNDTRIP_TOL
+
+
 def sorted_class_inner_zeros(product, d):
     """Inner zeros from the pencil on classes 0 and 1 of all n preimages sorted by argument.
 
     This is how the inner factor was built before the walk solved only two
-    classes; it serves as the reference.
+    classes and the zeros were read off B's own; it serves as the reference.
     """
     zeros, n = product.zeros, product.degree
     m = n // d
@@ -503,7 +545,7 @@ def test_inner_from_fibers_solves_two_classes(monkeypatch):
 @pytest.mark.parametrize("search", [decompose_paired_search, decompose_tripled_3n])
 @pytest.mark.parametrize("degree", [6, 12])
 def test_search_rejects_random_canonical_product(search, degree):
-    # A pencil root outside the disk must not surface as ValueError.
+    # No inner factor fits, and that must not surface as another error class.
     with pytest.raises(ConditionsUnsatisfied):
         search(random_canonical(random.Random(degree), degree))
 
@@ -550,8 +592,8 @@ def test_auto_splits_orbit_products_without_the_invariant_search(monkeypatch, n)
 
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_auto_splits_a_power_of_z(n):
-    # The pencil roots all snap onto origin zeros: the inner factor has a
-    # multiple zero at 0, and the round trip alone accepts it.
+    # Every zero of B lies over 0, so every pick is an origin zero: the inner
+    # factor has a multiple zero at 0, and the round trip alone accepts it.
     b = BlaschkeProduct(1.0, (0j,) * n)
     for d in [k for k in range(2, n) if n % k == 0]:
         assert _inner_from_fibers(b, d).zeros == (0j,) * d
@@ -673,22 +715,19 @@ def test_auto_rejects_trivial_splits():
 def test_auto_splits_without_the_aberth_iteration(monkeypatch):
     import blaschke.numerics
 
-    cases = [
-        (orbit_product(9), DecompositionSource.TRIPLED_ZEROS_3N),
-        (
-            shuffled_composition(random.Random(27), 3, 9, constant_tol=LOOSE_CONSTANT_TOL),
-            DecompositionSource.TRIPLED_ZEROS_3N,
-        ),
-    ]
+    # The compositions are built before the iteration is switched off.
+    rng = random.Random(27)
+    cases = [(orbit_product(9), 3), (shuffled_composition(rng, 3, 9, constant_tol=LOOSE_CONSTANT_TOL), 3)]
+    cases += [(shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL), d) for d in (4, 5, 7) for m in (2, 3)]
 
     def no_aberth(*args):
         raise AssertionError("the Aberth iteration ran")
 
     monkeypatch.setattr(blaschke.numerics, "_aberth", no_aberth)
-    for b, source in cases:
+    for b, d in cases:
         dec = decompose_auto(b)
-        assert dec.source is source
-        assert dec.inner.degree == 3
+        assert dec.source is {3: DecompositionSource.TRIPLED_ZEROS_3N}.get(d, DecompositionSource.BOUNDARY_FIBERS)
+        assert dec.inner.degree == d
         assert roundtrip_residual(dec, b) <= 1e-7
 
 
