@@ -726,7 +726,7 @@ def test_auto_splits_without_the_aberth_iteration(monkeypatch):
     monkeypatch.setattr(blaschke.numerics, "_aberth", no_aberth)
     for b, d in cases:
         dec = decompose_auto(b)
-        assert dec.source is {3: DecompositionSource.TRIPLED_ZEROS_3N}.get(d, DecompositionSource.BOUNDARY_FIBERS)
+        assert dec.source is (DecompositionSource.TRIPLED_ZEROS_3N if d == 3 else DecompositionSource.BOUNDARY_FIBERS)
         assert dec.inner.degree == d
         assert roundtrip_residual(dec, b) <= 1e-7
 
