@@ -138,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="max residual of B(M(z)) - B(z)")
     p.add_argument("--product", required=True, metavar="FILE")
     p.add_argument("--moebius", type=_moebius_arg, required=True, metavar="CRE,CIM,ARE,AIM")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=int, default=100, help="extra points on the circle")
 
     p = sub.add_parser("decompose", help="split a product into a composition")
     p.add_argument("--product", required=True, metavar="FILE")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .errors import BadShape, OrbitDegenerate, OrbitNotClosed
@@ -24,17 +24,8 @@ from .moebius import (
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import (
-    ORIGIN_ZERO_TOL,
-    BlaschkeProduct,
-    blaschke_eval,
-    is_canonical,
-    probe_points,
-)
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, blaschke_eval, is_canonical
 
-# Seed for the pseudo-random probe points; fixed so verification runs are
-# reproducible.
-PROBE_SEED = 271828
 GROUP_MATCH_TOL = 1e-7
 
 
@@ -85,57 +76,50 @@ def construct_invariant_product(
 
 
 def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: int) -> float:
-    """Max of ``|B(M(z)) - B(z)|`` over the probe set.
+    """Max of ``|B(M(z)) - B(z)|`` over ``degree + 1 + samples`` points of the circle.
 
-    The probe set is the equality-oracle probes plus ``samples`` seeded
-    pseudo-random interior points.  :func:`find_invariant_group` computes
-    the same maximum on the same points through the same helpers, with B
-    evaluated there once per search rather than once per candidate.
+    B ∘ M - B is analytic on the closed disk, so by the maximum modulus
+    principle its largest value is taken on the unit circle, where |B| = 1
+    at every degree; the points are equally spaced there.  Both sides are
+    degree-n products, which agree everywhere once they agree at 2n + 1
+    points of the circle, so ``samples >= degree + 1`` decides equality.
+    :func:`find_invariant_group` checks the same residuals on the same
+    points, with B evaluated there once per search.
     """
     if samples < product.degree + 1:
         raise ValueError("need at least degree + 1 samples")
-    return _max_residual(product, m, _oracle(product, samples))
+    return max(_residuals(product, m, _oracle(product, samples)))
 
 
 def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
-    rng = random.Random(PROBE_SEED)
-    pts = list(probe_points(product.degree, product.zeros))
-    for _ in range(samples):
-        r = 0.9 * math.sqrt(rng.random())
-        pts.append(r * cmath.exp(2j * math.pi * rng.random()))
-    return pts
+    count = product.degree + 1 + samples
+    return [cmath.exp(2j * math.pi * k / count) for k in range(count)]
 
 
 def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, complex]]:
-    """The probe points z, each paired with B(z)."""
+    """The circle points z, each paired with B(z)."""
     return [(z, blaschke_eval(product, z)) for z in _oracle_points(product, samples)]
 
 
-def _max_residual(product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]) -> float:
-    return max(abs(blaschke_eval(product, moebius_eval(m, z)) - bz) for z, bz in oracle)
+def _residuals(
+    product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]
+) -> Iterator[float]:
+    return (abs(blaschke_eval(product, moebius_eval(m, z)) - bz) for z, bz in oracle)
 
 
-def _rotation_candidates(degree: int) -> list[MoebiusTransform]:
-    return [
-        MoebiusTransform(cmath.exp(2j * math.pi * j / degree), 0j) for j in range(1, degree)
-    ]
+def _rotation_candidates(k: int) -> list[MoebiusTransform]:
+    """The rotations by the k-th roots of unity other than 1."""
+    return [MoebiusTransform(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
 
 
 def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
     """Distinct candidate invariants read off the zero set of ``product``."""
-    n = product.degree
     nonzero = [(z, abs(z)) for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
-    if not nonzero:
-        return _rotation_candidates(n)
     pairs = [(aj, al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
     candidates = [MoebiusTransform(-aj / al / abs(aj / al), al) for aj, al in pairs]
-    if n - len(nonzero) >= 2:
-        # A repeated origin zero also admits rotation invariants that the
-        # pole-at-a-zero form cannot express.
-        for aj, al in pairs:
-            w = aj / al
-            if aj is not al and abs(w - 1.0) > IDENTITY_TOL:
-                candidates.append(MoebiusTransform(w / abs(w), 0j))
+    # A rotation fixes 0, which the pole-at-a-zero form cannot express.  With
+    # B(z) = z^k g(z) and g(0) != 0, B(wz) = B(z) forces w^k = 1 at z = 0.
+    candidates += _rotation_candidates(product.degree - len(nonzero))
     # Equal zeros give equal candidates; the first of each is kept, in order.
     return list(dict.fromkeys(candidates))
 
@@ -143,22 +127,23 @@ def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTran
 def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL) -> tuple[InvariantGroup, ...]:
     """The invariant group of a canonical product (a tuple of at most one).
 
-    Candidates come from the structure of the zero set: a pure power of z is
-    only invariant under rotations by roots of unity, and otherwise any
-    invariant must send the origin-orbit around the nonzero zeros, forcing
-    the pole parameter to be a zero a_l and the constant to be -a_j / a_l
-    for a zero a_j of equal modulus.
+    Candidates come from the structure of the zero set.  An invariant that
+    moves 0 must send the origin-orbit around the nonzero zeros, forcing the
+    pole parameter to be a zero a_l and the constant to be -a_j / a_l for a
+    zero a_j of equal modulus.  One that fixes 0 is a rotation, by a k-th
+    root of unity when 0 is a zero of multiplicity k.
 
     Candidates are ranked by order (largest first), then by the phases of c
-    and alpha.  Each must first keep ``|B(M(z)) - B(z)| <= tol`` at the
-    zeros of B and at the point of the oracle's probe set where |B| is
-    largest, and only then over the whole probe set, which is the value
-    ``verify_invariance(product, M, degree + 1)`` returns.  B is evaluated
-    at the probe set once per search, when the first candidate passes the
-    zeros.  The first that passes, with an order dividing the degree,
-    generates the group: the invariants of a finite Blaschke product form a
-    finite, hence cyclic, subgroup of the disk automorphisms, so every other
-    invariant is one of its powers.
+    and alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at every point of
+    the circle set that ``verify_invariance(product, M, degree + 1)`` uses,
+    checked in one pass that stops at the first miss.  On the circle |B| = 1
+    at every degree, so a map that (nearly) permutes the zeros without
+    being invariant leaves a residual there that the small values |B| takes
+    inside the disk at high degree cannot hide.  B is evaluated at the
+    circle points once per search.  The first candidate that passes, with
+    an order dividing the degree, generates the group: the invariants of a
+    finite Blaschke product form a finite, hence cyclic, subgroup of the
+    disk automorphisms, so every other invariant is one of its powers.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
@@ -178,19 +163,9 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
             cmath.phase(item[1].alpha) % (2 * math.pi),
         ),
     )
-    # An invariant maps zeros to zeros, where B vanishes.  Maps that (nearly)
-    # permute the zeros but are not invariant leave a residual of order |B|,
-    # which is tiny near clustered zeros; the oracle point where |B| is
-    # largest shows it.  It is found only once a candidate passes the zeros,
-    # which most fail.
-    oracle = None
+    oracle = _oracle(product, n + 1)
     for order, cand in ranked:
-        if any(abs(blaschke_eval(product, moebius_eval(cand, a))) > tol for a in product.zeros):
-            continue
-        if oracle is None:
-            oracle = _oracle(product, n + 1)
-            loudest = max(oracle, key=lambda zb: abs(zb[1]))
-        if _max_residual(product, cand, [loudest]) > tol or _max_residual(product, cand, oracle) > tol:
+        if any(r > tol for r in _residuals(product, cand, oracle)):
             continue
         if order is None or n % order:
             warnings.warn(

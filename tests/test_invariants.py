@@ -305,27 +305,20 @@ def random_origin_products():
 
 
 def merged_candidates(product, tol):
-    """Candidates from every pair of zeros, each kept unless within 1e-9 of
-    one kept before: the quadratic generate-and-merge reference for the
-    exact dedupe."""
-    n = product.degree
+    """Candidates from every pair of zeros, plus the rotations by the k-th
+    roots of unity when 0 is a zero of multiplicity k >= 2, each kept unless
+    within 1e-9 of one kept before: the quadratic generate-and-merge
+    reference for the exact dedupe."""
     nonzero = [z for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
-    if not nonzero:
-        return invariants._rotation_candidates(n)
     candidates = []
     for aj in nonzero:
         for al in nonzero:
             if abs(abs(aj) - abs(al)) <= tol:
                 c = -aj / al
                 candidates.append(MoebiusTransform(c / abs(c), al))
-    if n - len(nonzero) >= 2:
-        for aj in nonzero:
-            for al in nonzero:
-                if aj is al or abs(abs(aj) - abs(al)) > tol:
-                    continue
-                w = aj / al
-                if abs(w - 1.0) > IDENTITY_TOL:
-                    candidates.append(MoebiusTransform(w / abs(w), 0j))
+    k = product.degree - len(nonzero)
+    if k >= 2:
+        candidates += [MoebiusTransform(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
     return merge_close(candidates)
 
 
@@ -362,10 +355,7 @@ def test_search_matches_vetting_every_candidate():
 
 
 def test_every_invariant_is_a_power_of_the_generator():
-    # Drifted to degree 6, the product has invariants of order 3 and 2 that
-    # pass the oracle while their product, of order 6, misses it; see
-    # test_decompose.py::test_drifted_degree6_product_has_one_group.
-    drifted = [drifted_orbit_product(n, drift) for n, drift in DRIFT_CASES if (n, drift) != (6, 1e-8)]
+    drifted = [drifted_orbit_product(n, drift) for n, drift in DRIFT_CASES]
     for b in [*orbit_products(), *structured_products(), *drifted]:
         groups = find_invariant_group(b)
         for cand in invariants._unique_candidates(b, GROUP_MATCH_TOL):
@@ -385,8 +375,9 @@ def test_search_vets_each_group_once(monkeypatch):
 
     monkeypatch.setattr(invariants, "verify_invariance", counted)
     # Some of these products have clustered zeros with |B| tiny near them, so
-    # non-invariant order-2 candidates pass at the zeros and at radius 1/2;
-    # the oracle point where |B| is largest must reject them.
+    # non-invariant order-2 candidates nearly vanish at the zeros and inside
+    # the disk; on the circle, where |B| = 1, their residual shows.  The
+    # search checks the circle points itself, never through the oracle.
     for c, _ in solve_unimodular_c(0.4, 20):
         calls.clear()
         b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
@@ -449,3 +440,48 @@ def test_search_warns_on_inconsistent_order(monkeypatch):
     b = construct_invariant_product(m, 5)
     with pytest.warns(UserWarning, match="inconsistent with degree 5"):
         assert find_invariant_group(b) == ()
+
+
+def test_no_spurious_group_at_degree_200():
+    # |B| shrinks inside the disk as the degree grows, so a map that nearly
+    # permutes the zeros of a random product leaves a tiny residual there;
+    # on the circle |B| = 1 and the residual shows.
+    products = []
+    for seed in range(5):
+        rng = random.Random(seed)
+        products.append(BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(199))))
+    rng = random.Random(200)
+    products.append(BlaschkeProduct(1.0, (0j, 0j) + tuple(random_interior(rng) for _ in range(198))))
+    for b in products:
+        assert find_invariant_group(b) == ()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_rotation_invariants_at_a_repeated_origin_zero(n):
+    # z^n is invariant under every rotation by an n-th root of unity; with
+    # zeros 0, 0 and a regular n-gon only the rotation by pi survives, and
+    # only when n is even.
+    ring = tuple(0.6 * cmath.exp(2j * math.pi * k / n) for k in range(n))
+    cases = [(BlaschkeProduct(1.0, (0j,) * n), n), (BlaschkeProduct(1.0, (0j, 0j) + ring), 2 if n % 2 == 0 else 0)]
+    for b, order in cases:
+        groups = find_invariant_group(b)
+        if not order:
+            assert groups == ()
+            continue
+        (group,) = groups
+        assert group.order == order
+        assert group.generator.alpha == 0
+        roots = [cmath.exp(2j * math.pi * j / order) for j in range(order)]
+        assert min(abs(group.generator.c - w) for w in roots) <= 1e-15
+        assert verify_invariance(b, group.generator, b.degree + 1) <= 1e-13
+
+
+def test_rotation_order_divides_the_origin_multiplicity():
+    # With zeros 0, 0 and a 14-gon of radius 0.3, B is within 1e-7 of z^16 on
+    # the circle, so the rotation by 2 pi / 16 passes the oracle; but near 0,
+    # B(z) ~ z^2, so only the rotations by square roots of unity are
+    # invariants, and only they are candidates.
+    ring = tuple(0.3 * cmath.exp(2j * math.pi * k / 14) for k in range(14))
+    b = BlaschkeProduct(1.0, (0j, 0j) + ring)
+    assert verify_invariance(b, MoebiusTransform(cmath.exp(2j * math.pi / 16), 0j), 17) <= GROUP_MATCH_TOL
+    assert [group.order for group in find_invariant_group(b)] == [2]
