@@ -1,9 +1,9 @@
 """Dense complex polynomials and a simultaneous root finder.
 
-Composition equations are solved by :func:`poly_roots`, an Aberth-Ehrlich
-iteration that refines all roots of a polynomial at once; decompositions
-need no root find.  Fixed points solve a quadratic in closed form; boundary
-preimages are solved on the circle from the boundary phase (see ``products``).
+:func:`poly_roots`, an Aberth-Ehrlich iteration on all roots of a polynomial
+at once, serves polynomials given by their coefficients; no package path
+calls it.  Compositions and boundary preimages are solved from the factors
+(see ``products``); fixed points solve a quadratic in closed form.
 """
 
 from __future__ import annotations
@@ -143,10 +143,10 @@ def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int
     n = len(coeffs) - 1
     dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
     weights = [abs(c) for c in reversed(coeffs)]
-    lead = abs(coeffs[-1])
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1]) / lead
-    # Equispaced start ring with an angular offset so symmetric inputs do not
-    # trap the iteration on a symmetry axis.
+    # Equispaced start ring at the geometric mean of the root moduli, taken
+    # by logarithms, with an angular offset so symmetric inputs do not trap
+    # the iteration on a symmetry axis.
+    radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / n)
     roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / n + 0.5)) for k in range(n)]
     for sweep in range(MAX_SWEEPS):
         pvals = [_horner(coeffs, z) for z in roots]

@@ -1,4 +1,4 @@
-"""Finite Blaschke products: evaluation, composition, equality, preimages."""
+"""Finite Blaschke products: evaluation, equality, and composition and preimages solved from the factors."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, NonConvergence, NormalizationError
 from .moebius import EVAL_DOMAIN_TOL, OPEN_DISK_MARGIN, UNIT_MODULUS_TOL
-from .numerics import ComplexPolynomial, poly_roots, require_finite
+from .numerics import require_finite
 
 ORIGIN_ZERO_TOL = 1e-12
 EQUALITY_TOL = 1e-8
@@ -28,7 +28,7 @@ PREIMAGE_PHASE_TOL = 1e-10
 # Phi' <= 2 sum 1/|z - a|.  With every zero at least d from z the allowance
 # is at most 7.1e-15 n / d, so it matters only for zeros near the circle.
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
-# Cap on Newton evaluations per preimage; about 4 are typical.
+# Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
 
 
@@ -82,15 +82,6 @@ def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:
     return value
 
 
-def _numerator_denominator(product: BlaschkeProduct) -> tuple[ComplexPolynomial, ComplexPolynomial]:
-    num = ComplexPolynomial([product.constant])
-    den = ComplexPolynomial([1.0])
-    for a in product.zeros:
-        num = num * ComplexPolynomial([-a, 1.0])
-        den = den * ComplexPolynomial([1.0, -a.conjugate()])
-    return num, den
-
-
 def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, ...]:
     """``degree + 1`` equispaced interior probes, dodging the avoid set.
 
@@ -110,17 +101,16 @@ def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, .
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:
-    """Pointwise equality oracle.
+    """Pointwise equality oracle at 2n + 1 points of the unit circle.
 
-    Two degree-n products agreeing at n+1 distinct interior points agree
-    everywhere, so probing that many points decides equality.
+    There |B| = 1 at every degree, and B = 1/conj(B), so degree-n products
+    agree where P_a Q_b - P_b Q_a, of degree at most 2n, vanishes.
     """
     if a.degree != b.degree:
         return False
-    for p in probe_points(a.degree, a.zeros + b.zeros):
-        if abs(blaschke_eval(a, p) - blaschke_eval(b, p)) > tol:
-            return False
-    return True
+    count = 2 * a.degree + 1
+    circle = (cmath.exp(2j * math.pi * k / count) for k in range(count))
+    return all(abs(blaschke_eval(a, z) - blaschke_eval(b, z)) <= tol for z in circle)
 
 
 def recover_constant(
@@ -151,17 +141,62 @@ def recover_constant(
     raise NormalizationError("no usable probe point for constant recovery")
 
 
-def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
-    """The composition ``outer ∘ inner`` as an explicit Blaschke product.
+def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
+    """The d solutions of D(z) = b, |b| < 1, all in the disk: the roots of c P - b Q.
 
-    Zeros are the inner-preimages of the outer zeros, found by solving
-    numerator(inner) - b * denominator(inner) = 0 for each outer zero b;
-    the constant is recovered at a probe point and projected to the circle.
+    Aberth-Ehrlich in place from a ring of radius 0.6, with the Newton ratio
+    (D - b)/(D S1 - b S2), S1 = sum 1/(z - a), S2 = -sum conj(a)/(1 - conj(a) z),
+    from the factors.  An iterate that would leave the disk is pulled back
+    halfway to the circle; a root stops at a step of 4 eps (1 + |z|).  Raises
+    :class:`NonConvergence` when |D(z) - b| exceeds ``PREIMAGE_PHASE_TOL`` plus
+    ``PREIMAGE_ROUNDING`` (1 + sum 1/|z - a| + 1/|1 - conj(a) z|), the rounding
+    of D near z, and :class:`DomainError` within ``OPEN_DISK_MARGIN`` of the circle.
     """
-    num, den = _numerator_denominator(inner)
-    zeros: list[complex] = []
-    for b in outer.zeros:
-        zeros.extend(poly_roots(num - den.scaled(b)))
+    if b == 0:
+        return list(inner.zeros)
+    c, d, pairs = inner.constant, inner.degree, [(a, a.conjugate()) for a in inner.zeros]
+    roots = [0.6 * cmath.exp(1j * (2 * math.pi * (k + 0.35) / d + 0.5)) for k in range(d)]
+    active, sweeps = list(range(d)), 0
+    while active and sweeps < PREIMAGE_MAX_STEPS:
+        still, sweeps = [], sweeps + 1
+        for i in active:
+            z = roots[i]
+            value, s1, s2, repel = c, 0j, 0j, 0j
+            try:
+                for a, ac in pairs:
+                    u, w = z - a, 1.0 / (1.0 - ac * z)
+                    value, s1, s2 = value * u * w, s1 + 1.0 / u, s2 + ac * w
+                for j, r in enumerate(roots):
+                    if j != i:
+                        repel += 1.0 / (z - r)
+                ratio = (value - b) / (value * s1 + b * s2)
+                step = ratio / (1.0 - ratio * repel)
+            except ZeroDivisionError:
+                step = math.nan
+            if not cmath.isfinite(step):  # on a zero of D, another root or a critical point
+                step = (1e-6 + 1e-6j) * (1.0 - abs(z))
+            new = z - step
+            roots[i] = new if abs(new) < 1.0 else new * 0.5 * (1.0 + abs(z)) / abs(new)
+            if not abs(step) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(z)):
+                still.append(i)
+        active = still
+    for z in roots:
+        residual = abs(c * math.prod([(z - a) / (1.0 - ac * z) for a, ac in pairs]) - b)
+        if not residual <= PREIMAGE_PHASE_TOL:
+            reach = sum(1.0 / max(abs(z - a), sys.float_info.min) + 1.0 / abs(1.0 - ac * z) for a, ac in pairs)
+            bound = PREIMAGE_PHASE_TOL + PREIMAGE_ROUNDING * (1.0 + reach)
+            if not residual <= bound:
+                raise NonConvergence(
+                    f"residual {residual:.3e} of inner(z) = {b!r} at z = {z!r} exceeds {bound:.3e}"
+                )
+        if abs(z) > 1.0 - OPEN_DISK_MARGIN:
+            raise DomainError(f"composed zero {z!r} lies within {OPEN_DISK_MARGIN} of the unit circle")
+    return roots
+
+
+def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
+    """``outer ∘ inner``: zeros from :func:`_disk_preimages`, constant from :func:`recover_constant`."""
+    zeros = [z for b in outer.zeros for z in _disk_preimages(inner, b)]
     composed = recover_constant(zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z)))
     return BlaschkeProduct(composed, tuple(zeros))
 

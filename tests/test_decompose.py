@@ -280,11 +280,11 @@ def test_tripled_rejects_generic_degree6():
 # Both searches on compositions with shuffled zeros.
 
 
-def shuffled_composition(rng, inner_degree, outer_degree, radius=0.8, constant_tol=1e-12):
+def shuffled_composition(rng, inner_degree, outer_degree, radius=0.8):
     """Canonical outer ∘ inner with shuffled zeros and a repeated outer zero.
 
     The inner zeros other than 0 lie in the disk of the given radius, and
-    the constant recovered by the composition is within ``constant_tol`` of 1.
+    the constant recovered by the composition is within 1e-12 of 1.
     """
     inner = BlaschkeProduct(
         1.0, (0j,) + tuple(random_interior(rng, radius) for _ in range(inner_degree - 1))
@@ -293,7 +293,7 @@ def shuffled_composition(rng, inner_degree, outer_degree, radius=0.8, constant_t
     outer_zeros = [0j] + others + [others[0] if others else 0j]
     composed = blaschke_compose(BlaschkeProduct(1.0, tuple(outer_zeros)), inner)
     # outer ∘ inner is canonical; its recovered constant is 1 up to rounding.
-    assert abs(composed.constant - 1.0) <= constant_tol
+    assert abs(composed.constant - 1.0) <= 1e-12
     zeros = list(composed.zeros)
     rng.shuffle(zeros)
     return BlaschkeProduct(1.0, tuple(zeros))
@@ -312,11 +312,6 @@ def test_search_splits_shuffled_composition(search, inner_degree, outer_degree):
     assert dec.inner.degree == inner_degree
     assert dec.outer.degree == outer_degree
     assert roundtrip_residual(dec, b) <= 1e-7
-
-
-# The constant recovered for these compositions, of higher degree or with
-# zeros nearer the circle than above, is up to 2e-11 off 1.
-LOOSE_CONSTANT_TOL = 1e-10
 
 
 def random_canonical(rng, degree):
@@ -355,7 +350,7 @@ def searched_inner_zeros(product, d, source):
 def test_fiber_construction_matches_zero_search(search, d, source):
     rng = random.Random(800 + d)
     products = [
-        shuffled_composition(rng, d, m, radius, LOOSE_CONSTANT_TOL)
+        shuffled_composition(rng, d, m, radius)
         for m, radius in ((1, 0.99), (2, 0.99), (3, 0.95), (5, 0.99), (8, 0.9), (60 // d, 0.99))
     ]
     products += [random_canonical(rng, degree) for degree in (6, 6, 12, 12)]
@@ -372,8 +367,9 @@ def test_fiber_construction_matches_zero_search(search, d, source):
 
 
 def test_fiber_construction_keeps_double_inner_zero():
-    # The two copies of the double zero differ by rounding in B; each must
-    # stay its own zero of the inner factor, as the search chose them.
+    # The composition returns the double zero twice, exactly; one copy is
+    # moved by 1e-9, and each must stay its own zero of the inner factor, as
+    # the search chose them.
     a = 0.6 + 0.2j
     inner = BlaschkeProduct(1.0, (0j, a, a))
     zeros = list(blaschke_compose(BlaschkeProduct(1.0, (0j, 0.3 - 0.2j, -0.4j)), inner).zeros)
@@ -414,7 +410,7 @@ def test_one_fiber_split_per_search(monkeypatch):
     rng = random.Random(27)
     for search, d, m in ((decompose_tripled_3n, 3, 9), (decompose_paired_search, 2, 12)):
         splits.clear()
-        search(shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL))
+        search(shuffled_composition(rng, d, m))
         assert len(splits) == 1
         splits.clear()
         with pytest.raises(ConditionsUnsatisfied):
@@ -426,7 +422,7 @@ def test_one_fiber_split_per_search(monkeypatch):
 def test_inner_from_fibers_any_degree(d):
     rng = random.Random(900 + d)
     for m in (2, 3, 4):
-        b = shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL)
+        b = shuffled_composition(rng, d, m)
         inner = _inner_from_fibers(b, d)
         assert inner.degree == d
         dec = _fiber_split(b, inner, DecompositionSource.TRIPLED_ZEROS_3N)
@@ -512,7 +508,7 @@ def test_two_walk_classes_give_the_sorted_classes_split(d):
     # neither splits the product.
     rng = random.Random(700 + d)
     compositions = [
-        shuffled_composition(rng, d, m, radius, LOOSE_CONSTANT_TOL)
+        shuffled_composition(rng, d, m, radius)
         for m, radius in ((2, 0.99), (3, 0.8), (4, 0.95), (7, 0.99), (60 // d, 0.9), (60 // d, 0.99))
     ]
     for b in compositions + [random_canonical(rng, d * m) for m in (2, 3, 5, 8, 60 // d)]:
@@ -534,7 +530,7 @@ def test_inner_from_fibers_solves_two_classes(monkeypatch):
     monkeypatch.setattr(blaschke.products, "_solve_phase", counted)
     rng = random.Random(31)
     for d, m in ((2, 2), (2, 12), (3, 5), (3, 9), (4, 3)):
-        for b in (shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL), random_canonical(rng, d * m)):
+        for b in (shuffled_composition(rng, d, m), random_canonical(rng, d * m)):
             solves.clear()
             try:
                 _inner_from_fibers(b, d)
@@ -569,7 +565,7 @@ def test_auto_takes_the_smallest_divisor(degree4_case_b_product):
 def test_auto_splits_through_any_inner_degree(d):
     rng = random.Random(950 + d)
     for m in (2, 3, 5):
-        b = shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL)
+        b = shuffled_composition(rng, d, m)
         dec = decompose_auto(b)
         assert dec.source is DecompositionSource.BOUNDARY_FIBERS
         assert (dec.inner.degree, dec.outer.degree) == (d, m)
@@ -733,8 +729,8 @@ def test_auto_splits_without_the_aberth_iteration(monkeypatch):
 
     # The compositions are built before the iteration is switched off.
     rng = random.Random(27)
-    cases = [(orbit_product(9), 3), (shuffled_composition(rng, 3, 9, constant_tol=LOOSE_CONSTANT_TOL), 3)]
-    cases += [(shuffled_composition(rng, d, m, constant_tol=LOOSE_CONSTANT_TOL), d) for d in (4, 5, 7) for m in (2, 3)]
+    cases = [(orbit_product(9), 3), (shuffled_composition(rng, 3, 9), 3)]
+    cases += [(shuffled_composition(rng, d, m), d) for d in (4, 5, 7) for m in (2, 3)]
 
     def no_aberth(*args):
         raise AssertionError("the Aberth iteration ran")

@@ -105,6 +105,17 @@ def test_roots_outside_the_circle_at_high_degree():
         assert abs(poly_eval(p, r)) <= 1e-10 * sum(abs(c) * abs(r) ** k for k, c in enumerate(p.coeffs))
 
 
+@pytest.mark.parametrize("radius, degree", [(1.2, 100), (1.05, 150), (1.05, 200)])
+def test_roots_of_geometric_coefficients(radius, degree):
+    # The roots R w, w != 1 a (degree + 1)-th root of unity, all have modulus
+    # R.  From a ring at the Cauchy bound 1 + R^degree the first sweep
+    # overflowed to NaN; the ring at |c_0 / c_n|^(1/n) is R itself.
+    p = ComplexPolynomial([radius**-k for k in range(degree + 1)])
+    roots = poly_roots(p)
+    expected = [radius * cmath.exp(2j * math.pi * j / (degree + 1)) for j in range(1, degree + 1)]
+    assert multiset_close(roots, expected, 1e-9)
+
+
 def test_roots_degree_zero_rejected():
     with pytest.raises(ValueError):
         poly_roots(ComplexPolynomial([1.0]))

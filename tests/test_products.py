@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 
@@ -10,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blaschke.numerics
 import blaschke.products
 from blaschke import (
     BlaschkeError,
     BlaschkeProduct,
     DomainError,
     MoebiusTransform,
+    NonConvergence,
     blaschke_compose,
     blaschke_equal,
     blaschke_eval,
@@ -130,6 +133,122 @@ def test_compose_with_identity_inner():
         assert blaschke_equal(blaschke_compose(outer, identity), outer)
 
 
+def circle_roundtrip(composed, outer, inner):
+    """max |composed - outer ∘ inner| at 2n + 1 circle points, which decide equality."""
+    count = 2 * composed.degree + 1
+    points = (cmath.exp(2j * math.pi * k / count) for k in range(count))
+    return max(abs(blaschke_eval(composed, z) - blaschke_eval(outer, blaschke_eval(inner, z))) for z in points)
+
+
+@pytest.mark.parametrize("inner_degree", [2, 3, 5, 8, 13, 21, 34, 48, 64])
+def test_compose_roundtrip_at_degree(inner_degree):
+    # Solved from the expanded coefficients, these round trips reached 3.5e-11
+    # at inner degree 8 and 3.9e-6 at 48; from the factors they stay within 2e-13.
+    rng = random.Random(700 + inner_degree)
+    for radius in (0.8, 0.95):
+        for outer_degree in (1, 2, 3):
+            inner = random_product(rng, inner_degree, radius)
+            outer = random_product(rng, outer_degree, radius)
+            composed = blaschke_compose(outer, inner)
+            assert composed.degree == inner_degree * outer_degree
+            assert circle_roundtrip(composed, outer, inner) <= 1e-12
+
+
+def test_compose_canonical_degree21_pairs():
+    # With the inner factor expanded into coefficients, 10 of these 40
+    # recovered a constant too far from 1 to compose.
+    rng = random.Random(11)
+    for _ in range(40):
+        inner = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(20)))
+        outer = BlaschkeProduct(1.0, (0j, random_interior(rng)))
+        assert abs(blaschke_compose(outer, inner).constant - 1.0) <= 1e-12
+
+
+def test_compose_keeps_a_repeated_inner_zero_exact():
+    inner = BlaschkeProduct(1.0, (0.5 + 0j,) * 4)
+    assert blaschke_compose(BlaschkeProduct(1.0, (0j,)), inner).zeros == (0.5 + 0j,) * 4
+
+
+def test_compose_where_the_iterates_jitter():
+    # The iterates reach the roots, one at |z| = 0.981, and then move by a
+    # few rounding units per sweep; the step stop must still end the solve.
+    constant = -0.8997 - 0.4366j
+    inner = BlaschkeProduct(constant / abs(constant), (0.8005 - 0.1470j, 0.6388 - 0.3960j))
+    b = -0.7881 + 0.2142j
+    composed = blaschke_compose(BlaschkeProduct(1.0, (b,)), inner)
+    assert composed.degree == 2
+    for z in composed.zeros:
+        assert abs(blaschke_eval(inner, z) - b) <= 1e-15
+
+
+def near_circle_product(rng, degree, modulus):
+    """Random constant; every other zero at the given modulus, the rest inside it."""
+    zeros = [
+        modulus * cmath.exp(2j * math.pi * rng.random()) if k % 2 == 0 else random_interior(rng, modulus)
+        for k in range(degree)
+    ]
+    return BlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), tuple(zeros))
+
+
+@pytest.mark.parametrize("modulus", [0.99, 0.999])
+def test_compose_with_inner_zeros_near_the_circle(modulus):
+    rng = random.Random(int(1e4 * modulus))
+    for inner_degree in range(2, 22):
+        for outer_degree in (1, 2, 3):
+            inner = near_circle_product(rng, inner_degree, modulus)
+            outer = random_product(rng, outer_degree)
+            assert circle_roundtrip(blaschke_compose(outer, inner), outer, inner) <= 1e-11
+
+
+def test_compose_next_to_the_circle_raises_only_library_errors():
+    rng = random.Random(13)
+    for inner_degree in range(2, 22):
+        inner = near_circle_product(rng, inner_degree, 1.0 - 1e-6)
+        outer = random_product(rng, rng.randint(1, 3))
+        try:
+            composed = blaschke_compose(outer, inner)
+        except BlaschkeError:
+            continue
+        assert composed.degree == inner_degree * outer.degree
+
+
+def test_compose_refuses_a_zero_on_the_circle():
+    # The solution of (z - a)/(1 - a z) = 1/2 lies 6.7e-13 from the circle,
+    # closer than any zero of a product may.
+    inner = BlaschkeProduct(1.0, (1.0 - 2e-12 + 0j,))
+    with pytest.raises(DomainError, match=r"composed zero \(0\.99999999999"):
+        blaschke_compose(BlaschkeProduct(1.0, (0.5 + 0j,)), inner)
+
+
+def test_compose_reports_an_unfinished_solve(monkeypatch):
+    # Cut to one sweep, the iteration stops far from the solutions.
+    monkeypatch.setattr(blaschke.products, "PREIMAGE_MAX_STEPS", 1)
+    inner = BlaschkeProduct(1.0, (0.3 + 0j, 0.2j, -0.4 + 0j))
+    with pytest.raises(NonConvergence, match=r"residual .* of inner\(z\) = \(0\.5\+0j\)"):
+        blaschke_compose(BlaschkeProduct(1.0, (0.5 + 0j,)), inner)
+
+
+def test_compose_needs_no_polynomial(monkeypatch, tmp_path, capsys):
+    import blaschke.cli
+    import blaschke.numerics
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded or solved")
+
+    rng = random.Random(67)
+    inner, outer = random_product(rng, 5), random_product(rng, 3)
+    paths = []
+    for name, product in (("inner", inner), ("outer", outer)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(blaschke.cli.product_to_document(product)))
+    for name in ("poly_roots", "_aberth", "_solve_quadratic"):
+        monkeypatch.setattr(blaschke.numerics, name, refuse)
+    monkeypatch.setattr(blaschke.numerics.ComplexPolynomial, "__init__", refuse)
+    assert circle_roundtrip(blaschke_compose(outer, inner), outer, inner) <= 1e-12
+    assert blaschke.cli.run(["compose", "--inner", str(paths[0]), "--outer", str(paths[1])]) == 0
+    assert len(json.loads(capsys.readouterr().out)["zeros"]) == 15
+
+
 def test_equal_permuted_zeros():
     rng = random.Random(43)
     b = random_product(rng, 5)
@@ -151,6 +270,18 @@ def test_equal_random_pairs_differ():
         a = random_product(rng, degree)
         b = random_product(rng, degree)
         assert not blaschke_equal(a, b)
+
+
+@pytest.mark.parametrize("degree", [60, 100])
+def test_equal_tells_apart_a_moved_zero_at_degree(degree):
+    # Inside the disk |B| shrinks with the degree: on the circle of radius
+    # 1/2 these two products differ by at most 7.7e-14 (degree 60), while
+    # at z = i they differ by 0.062.
+    rng = random.Random(degree)
+    b = BlaschkeProduct(1.0, (0j,) + tuple(random_interior(rng) for _ in range(degree - 1)))
+    moved = BlaschkeProduct(1.0, b.zeros[:-1] + (b.zeros[-1] + 0.05,))
+    assert blaschke_equal(b, b)
+    assert not blaschke_equal(b, moved)
 
 
 def probe_ring(radius, degree):
@@ -312,7 +443,7 @@ def test_preimages_need_no_root_finder(monkeypatch):
     def no_roots(p):
         raise AssertionError("blaschke_preimages called poly_roots")
 
-    monkeypatch.setattr(blaschke.products, "poly_roots", no_roots)
+    monkeypatch.setattr(blaschke.numerics, "poly_roots", no_roots)
     rng = random.Random(61)
     for degree in (1, 4, 16, 40):
         b = random_product(rng, degree)
