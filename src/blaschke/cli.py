@@ -3,7 +3,8 @@
 Every subcommand maps onto one public library operation.  Domain errors and
 files that cannot be read or written are reported as a machine-readable
 ``{"error", "detail"}`` object on stderr with exit code 1; argument parsing
-failures exit with code 2.
+failures exit with code 2.  The module loads only what parsing and product
+documents need; each handler imports the module that it runs.
 """
 
 from __future__ import annotations
@@ -15,25 +16,15 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .decompose import (
-    decompose_auto,
-    decompose_invariants_search,
-    decompose_paired_2n,
-    decompose_paired_search,
-    decompose_tripled_3n,
-    roundtrip_residual,
-)
 from .errors import BadShape, BlaschkeError
-from .figures import FigureSpec, render_svg
-from .invariants import GROUP_MATCH_TOL, construct_invariant_product, find_invariant_group, verify_invariance
 from .moebius import (
+    GROUP_MATCH_TOL,
     ORBIT_CLOSURE_TOL,
     ORBIT_DISTINCT_TOL,
     MoebiusTransform,
     moebius_iterate_zero,
     solve_unimodular_c,
 )
-from .poncelet import find_poncelet_ellipse
 from .products import BlaschkeProduct, blaschke_compose, blaschke_preimages
 
 
@@ -177,6 +168,8 @@ def _cmd_solve_c(args) -> Any:
 
 
 def _cmd_construct(args) -> Any:
+    from .invariants import construct_invariant_product
+
     m = MoebiusTransform(args.c / abs(args.c), args.alpha)
     product = construct_invariant_product(
         m, args.degree, distinct_tol=args.tol, closure_tol=max(args.tol, ORBIT_CLOSURE_TOL)
@@ -185,6 +178,8 @@ def _cmd_construct(args) -> Any:
 
 
 def _cmd_invariants(args) -> Any:
+    from .invariants import find_invariant_group
+
     product = _read_product(args.product)
     groups = find_invariant_group(product, args.tol)
     return [
@@ -195,30 +190,34 @@ def _cmd_invariants(args) -> Any:
 
 
 def _cmd_verify(args) -> Any:
+    from .invariants import verify_invariance
+
     product = _read_product(args.product)
     return {"max_residual": verify_invariance(product, args.moebius, args.samples)}
 
 
 def _cmd_decompose(args) -> Any:
+    from . import decompose
+
     if args.a1_index is not None and args.method != "paired":
         raise BadShape("--a1-index applies only to --method paired")
     product = _read_product(args.product)
     if args.method == "auto":
-        dec = decompose_auto(product)
+        dec = decompose.decompose_auto(product)
     elif args.method == "invariants":
-        dec = decompose_invariants_search(product)
+        dec = decompose.decompose_invariants_search(product)
     elif args.method == "paired":
         if args.a1_index is not None:
-            dec = decompose_paired_2n(product, args.a1_index)
+            dec = decompose.decompose_paired_2n(product, args.a1_index)
         else:
-            dec = decompose_paired_search(product)
+            dec = decompose.decompose_paired_search(product)
     else:
-        dec = decompose_tripled_3n(product)
+        dec = decompose.decompose_tripled_3n(product)
     return {
         "inner": product_to_document(dec.inner),
         "outer": product_to_document(dec.outer),
         "source": dec.source.value,
-        "roundtrip_residual": roundtrip_residual(dec, product),
+        "roundtrip_residual": decompose.roundtrip_residual(dec, product),
     }
 
 
@@ -234,6 +233,8 @@ def _cmd_preimages(args) -> Any:
 
 
 def _cmd_poncelet(args) -> Any:
+    from .poncelet import find_poncelet_ellipse
+
     product = _read_product(args.product)
     ellipse = find_poncelet_ellipse(product, args.a1_index)
     return {
@@ -243,6 +244,9 @@ def _cmd_poncelet(args) -> Any:
 
 
 def _cmd_plot(args) -> Any:
+    from .figures import FigureSpec, render_svg
+    from .poncelet import find_poncelet_ellipse
+
     product = _read_product(args.product)
     ellipse = None
     if args.ellipse:

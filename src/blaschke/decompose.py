@@ -5,8 +5,9 @@ into its fibers: the first image left and the d - 1 images nearest it.  If
 B factors through the inner factor, the fiber images are the zeros of the
 outer factor (Garcia–Mashreghi–Ross, *Finite Blaschke Products and Their
 Connections*, 2018).  The split is accepted only when outer(inner(z)) = B(z)
-within ``ROUNDTRIP_TOL`` at n + 1 probes, which decides equality of
-degree-n products, so no route takes a tolerance of its own.
+within ``ROUNDTRIP_TOL`` at the n + 1 interior probes of
+:func:`roundtrip_residual`, so no route takes a tolerance of its own; those
+probes do not decide equality of degree-n products (see there).
 A canonical B factors through at most one inner factor D of degree d with
 D(0) = 0 and constant 1: B's boundary preimages of 1 fall into D's fibers
 in a fixed cyclic pattern, and two of those fibers, 2d of the n preimages,
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
@@ -34,6 +34,7 @@ from .errors import (
     DecompositionError,
     NoInteriorFixedPoint,
     NormalizationError,
+    Record,
 )
 from .invariants import InvariantGroup, find_invariant_group
 from .moebius import moebius_fixed_point_in_disk, moebius_power
@@ -61,21 +62,33 @@ class DecompositionSource(enum.Enum):
 _DEGREE_SOURCES = {2: DecompositionSource.PAIRED_ZEROS_2N, 3: DecompositionSource.TRIPLED_ZEROS_3N}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
+    _fields = ("inner", "outer", "source")
     inner: BlaschkeProduct
     outer: BlaschkeProduct
     source: DecompositionSource
 
+    def __init__(self, inner: BlaschkeProduct, outer: BlaschkeProduct, source: DecompositionSource) -> None:
+        self._set(inner=inner, outer=outer, source=source)
 
-@dataclass(frozen=True)
-class StructuredZeroConditions:
+
+class StructuredZeroConditions(Record):
+    _fields = ("residuals", "satisfied")
     residuals: tuple[complex, ...]
     satisfied: bool
 
+    def __init__(self, residuals: tuple[complex, ...], satisfied: bool) -> None:
+        self._set(residuals=residuals, satisfied=satisfied)
+
 
 def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
-    """Max pointwise deviation of ``outer(inner(z))`` from the original."""
+    """Max deviation of ``outer(inner(z))`` from the original at n + 1 probes.
+
+    The probes are :func:`~blaschke.products.probe_points`, on the circle of
+    radius 1/2, where |B| shrinks with the degree.  They do not decide
+    equality of degree-n products, which takes 2n + 1 points of the unit
+    circle (ROADMAP, "Equality and round-trip probes inside the disk").
+    """
     pts = probe_points(original.degree, original.zeros)
     return max(
         abs(blaschke_eval(dec.outer, blaschke_eval(dec.inner, z)) - blaschke_eval(original, z))

@@ -1,8 +1,57 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy, input check and value-type base shared by all modules.
 
 Every domain failure raises a subclass of :class:`BlaschkeError`, so callers
 (and the CLI) can map library errors to a single failure channel.
 """
+
+import math
+import operator
+
+
+def require_finite(z: complex) -> complex:
+    """Return ``z`` as a built-in complex, rejecting NaN and infinities."""
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"non-finite complex value: {z!r}")
+    return z
+
+
+class Record:
+    """Base of the immutable value types, over the attributes named in ``_fields``.
+
+    Equality, hash and repr follow those fields in order; an ``__init__``
+    stores its values with :meth:`_set`.  Assigning or deleting an attribute
+    raises :class:`AttributeError`.  Instances pickle and copy by their
+    ``__dict__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The field values that equality and hash compare, read in C.
+        cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def _set(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class BlaschkeError(Exception):

@@ -8,23 +8,33 @@ references, so rendered files are deterministic and diffable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .errors import Record
 from .poncelet import CHORD_TOL, PonceletEllipse, _concurrent_pairing
 from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, blaschke_preimages
 
 DISK_FRACTION = 0.45  # radius in canvas units: 5% margin on each side
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(Record):
     """What to draw: the product's zeros plus optional overlays."""
 
+    _fields = ("product", "canvas", "ellipse", "chord_lambdas", "orbit")
     product: BlaschkeProduct
-    canvas: int = 640
-    ellipse: PonceletEllipse | None = None
-    chord_lambdas: tuple[complex, ...] = ()
-    orbit: tuple[complex, ...] = ()
+    canvas: int
+    ellipse: PonceletEllipse | None
+    chord_lambdas: tuple[complex, ...]
+    orbit: tuple[complex, ...]
+
+    def __init__(
+        self,
+        product: BlaschkeProduct,
+        canvas: int = 640,
+        ellipse: PonceletEllipse | None = None,
+        chord_lambdas: tuple[complex, ...] = (),
+        orbit: tuple[complex, ...] = (),
+    ) -> None:
+        self._set(product=product, canvas=canvas, ellipse=ellipse, chord_lambdas=chord_lambdas, orbit=orbit)
 
 
 def _fmt(x: float) -> str:

@@ -12,10 +12,10 @@ import cmath
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
-from .errors import BadShape, OrbitDegenerate, OrbitNotClosed
+from .errors import BadShape, OrbitDegenerate, OrbitNotClosed, Record
 from .moebius import (
+    GROUP_MATCH_TOL,
     IDENTITY_TOL,
     ORBIT_CLOSURE_TOL,
     ORBIT_DISTINCT_TOL,
@@ -26,27 +26,26 @@ from .moebius import (
 )
 from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, blaschke_eval, is_canonical
 
-GROUP_MATCH_TOL = 1e-7
 
-
-@dataclass(frozen=True)
-class InvariantGroup:
+class InvariantGroup(Record):
     """A cyclic group of invariants, given by a generator and its order.
 
     ``identity_tol`` is the parameter distance at which an iterate counts as
     the identity; generators recovered from low-precision constants need a
-    looser value than the default.
+    looser value than the default.  It takes no part in equality or repr.
     """
 
+    _fields = ("generator", "order")
     generator: MoebiusTransform
     order: int
-    identity_tol: float = field(default=IDENTITY_TOL, compare=False, repr=False)
+    identity_tol: float
 
-    def __post_init__(self) -> None:
-        if self.order < 2:
+    def __init__(self, generator: MoebiusTransform, order: int, identity_tol: float = IDENTITY_TOL) -> None:
+        if order < 2:
             raise ValueError("an invariant group has order at least 2")
-        if moebius_order(self.generator, self.order, self.identity_tol) != self.order:
+        if moebius_order(generator, order, identity_tol) != order:
             raise ValueError("generator order does not match the declared order")
+        self._set(generator=generator, order=order, identity_tol=identity_tol)
 
 
 def construct_invariant_product(

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .errors import DomainError, NormalizationError, NoSolution
-from .numerics import ComplexPolynomial, _solve_quadratic, require_finite
+from .errors import DomainError, NormalizationError, NoSolution, Record, require_finite
+
+if TYPE_CHECKING:
+    from .numerics import ComplexPolynomial
 
 # Shared with products: how far a constant's modulus may stray from 1, how
 # close to the circle a zero may sit, and how far outside it a point may be
@@ -26,24 +27,26 @@ EVAL_DOMAIN_TOL = 1e-9
 IDENTITY_TOL = 1e-8
 ORBIT_CLOSURE_TOL = 1e-8
 ORBIT_DISTINCT_TOL = 1e-7
+# The default residual bound of an invariant search (``invariants``); here so
+# that the CLI's parser can name it without loading that module.
+GROUP_MATCH_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class MoebiusTransform:
+class MoebiusTransform(Record):
     """A disk automorphism given by its rotation constant and its zero."""
 
+    _fields = ("c", "alpha")
     c: complex
     alpha: complex
 
-    def __post_init__(self) -> None:
-        c = require_finite(self.c)
-        alpha = require_finite(self.alpha)
+    def __init__(self, c: complex, alpha: complex) -> None:
+        c = require_finite(c)
+        alpha = require_finite(alpha)
         if abs(abs(c) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"|c| = {abs(c)!r} is not within {UNIT_MODULUS_TOL} of 1")
         if abs(alpha) > 1.0 - OPEN_DISK_MARGIN:
             raise ValueError(f"|alpha| = {abs(alpha)!r} must stay inside the open disk")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
+        self._set(c=c, alpha=alpha)
 
     def __call__(self, z: complex) -> complex:
         return moebius_eval(self, z)
@@ -52,13 +55,16 @@ class MoebiusTransform:
 IDENTITY = MoebiusTransform(1.0 + 0j, 0j)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(Record):
     """The first ``n`` points ``0, M(0), ..., M^{n-1}(0)`` of the orbit of 0."""
 
+    _fields = ("points", "closes", "min_pairwise_gap")
     points: tuple[complex, ...]
     closes: bool
     min_pairwise_gap: float
+
+    def __init__(self, points: tuple[complex, ...], closes: bool, min_pairwise_gap: float) -> None:
+        self._set(points=points, closes=closes, min_pairwise_gap=min_pairwise_gap)
 
 
 def moebius_eval(m: MoebiusTransform, z: complex) -> complex:
@@ -175,6 +181,8 @@ def moebius_fixed_point_in_disk(m: MoebiusTransform) -> Optional[complex]:
         raise ValueError("the identity fixes every point")
     if m.alpha == 0:
         return 0j
+    from .numerics import _solve_quadratic
+
     roots = _solve_quadratic(-m.c * m.alpha, m.c - 1.0, m.alpha.conjugate())
     interior = [z for z in roots if abs(z) <= 1.0 - 1e-9]
     if not interior:
@@ -192,6 +200,8 @@ def closure_polynomial(alpha: complex, n: int) -> ComplexPolynomial:
     c = 1 are the same constants.  Root finding on it loses constants from
     moderate n on (n = 10 at |alpha| = 0.9), so the package does not solve it.
     """
+    from .numerics import ComplexPolynomial
+
     alpha = require_finite(alpha)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -212,10 +222,8 @@ def closure_polynomial(alpha: complex, n: int) -> ComplexPolynomial:
     return result[0][1]
 
 
-_PolyMat = tuple[tuple[ComplexPolynomial, ComplexPolynomial], tuple[ComplexPolynomial, ComplexPolynomial]]
-
-
-def _pmat_mul(x: _PolyMat, y: _PolyMat) -> _PolyMat:
+def _pmat_mul(x, y):
+    # Product of 2 x 2 matrices of polynomials, each a pair of rows.
     return (
         (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
         (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),

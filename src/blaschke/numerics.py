@@ -4,16 +4,17 @@
 at once, serves polynomials given by their coefficients; no package path
 calls it.  Compositions and boundary preimages are solved from the factors
 (see ``products``); fixed points solve a quadratic in closed form.
+:func:`require_finite` lives in ``errors``, which every module imports, and
+is re-exported here; the package's start path does not load this module.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NonConvergence
+from .errors import NonConvergence, Record, require_finite
 
 # Relative tolerance below which a leading coefficient is treated as zero.
 LEADING_TRIM = 1e-14
@@ -24,16 +25,7 @@ RESIDUAL_LIMIT = 1e-10
 MAX_SWEEPS = 1000
 
 
-def require_finite(z: complex) -> complex:
-    """Return ``z`` as a built-in complex, rejecting NaN and infinities."""
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex value: {z!r}")
-    return z
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
+class ComplexPolynomial(Record):
     """A polynomial with complex coefficients in ascending degree order.
 
     Construction trims leading coefficients whose modulus is below
@@ -41,6 +33,7 @@ class ComplexPolynomial:
     degree is meaningful even for polynomials produced by composition.
     """
 
+    _fields = ("coeffs",)
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs: Iterable[complex]) -> None:
@@ -51,7 +44,7 @@ class ComplexPolynomial:
         cut = LEADING_TRIM * top
         while len(cs) > 1 and abs(cs[-1]) <= cut:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(coeffs=tuple(cs))
 
     @property
     def degree(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .decompose import CONDITION_TOL, check_paired_conditions_2n
@@ -22,8 +21,9 @@ from .errors import (
     NoConcurrentPairing,
     NoIntersection,
     NondegeneracyError,
+    Record,
+    require_finite,
 )
-from .numerics import require_finite
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
@@ -34,29 +34,38 @@ from .products import (
 CHORD_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class PonceletEllipse:
+class PonceletEllipse(Record):
     """Ellipse described by its foci and the focal-distance sum."""
 
+    _fields = ("focus1", "focus2", "focal_sum")
     focus1: complex
     focus2: complex
     focal_sum: float
 
-    def __post_init__(self) -> None:
-        for f in (self.focus1, self.focus2):
+    def __init__(self, focus1: complex, focus2: complex, focal_sum: float) -> None:
+        for f in (focus1, focus2):
             if abs(f) >= 1.0:
                 raise NondegeneracyError(f"focus {f!r} must lie inside the open disk")
-        if self.focal_sum <= abs(self.focus1 - self.focus2) + 1e-12:
+        if focal_sum <= abs(focus1 - focus2) + 1e-12:
             raise NondegeneracyError("focal sum must exceed the focal distance")
+        self._set(focus1=focus1, focus2=focus2, focal_sum=focal_sum)
 
 
-@dataclass(frozen=True)
-class ChordConcurrencyReport:
+class ChordConcurrencyReport(Record):
     """A preimage pairing whose two chords both pass through the target point."""
 
+    _fields = ("preimages", "pairing", "distances")
     preimages: tuple[complex, ...]
     pairing: tuple[tuple[int, int], tuple[int, int]]
     distances: tuple[float, float]
+
+    def __init__(
+        self,
+        preimages: tuple[complex, ...],
+        pairing: tuple[tuple[int, int], tuple[int, int]],
+        distances: tuple[float, float],
+    ) -> None:
+        self._set(preimages=preimages, pairing=pairing, distances=distances)
 
 
 def poncelet_ellipse(product: BlaschkeProduct, foci_indices: tuple[int, int]) -> PonceletEllipse:

@@ -5,12 +5,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DomainError, NonConvergence, NormalizationError
+from .errors import DomainError, NonConvergence, NormalizationError, Record, require_finite
 from .moebius import EVAL_DOMAIN_TOL, OPEN_DISK_MARGIN, UNIT_MODULUS_TOL
-from .numerics import require_finite
 
 ORIGIN_ZERO_TOL = 1e-12
 EQUALITY_TOL = 1e-8
@@ -32,29 +30,28 @@ PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
 PREIMAGE_MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class BlaschkeProduct:
+class BlaschkeProduct(Record):
     """A unimodular constant and a zero multiset inside the open disk.
 
     Zero multiplicity is expressed by repetition; compositions and orbit
     constructions naturally produce repeated (or nearly repeated) zeros.
     """
 
+    _fields = ("constant", "zeros")
     constant: complex
     zeros: tuple[complex, ...]
 
-    def __post_init__(self) -> None:
-        constant = require_finite(self.constant)
+    def __init__(self, constant: complex, zeros: Iterable[complex]) -> None:
+        constant = require_finite(constant)
         if abs(abs(constant) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"|constant| = {abs(constant)!r} is not within {UNIT_MODULUS_TOL} of 1")
-        zeros = tuple(require_finite(z) for z in self.zeros)
+        zeros = tuple(require_finite(z) for z in zeros)
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
         for z in zeros:
             if abs(z) > 1.0 - OPEN_DISK_MARGIN:
                 raise ValueError(f"zero {z!r} must lie inside the open disk")
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "zeros", zeros)
+        self._set(constant=constant, zeros=zeros)
 
     @property
     def degree(self) -> int:
