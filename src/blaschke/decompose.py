@@ -42,6 +42,7 @@ from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
     _phase_points,
+    _values,
     blaschke_eval,
     is_canonical,
     probe_points,
@@ -90,10 +91,8 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     circle (ROADMAP, "Equality and round-trip probes inside the disk").
     """
     pts = probe_points(original.degree, original.zeros)
-    return max(
-        abs(blaschke_eval(dec.outer, blaschke_eval(dec.inner, z)) - blaschke_eval(original, z))
-        for z in pts
-    )
+    composed = _values(dec.outer, _values(dec.inner, pts))
+    return max(abs(w - b) for w, b in zip(composed, _values(original, pts)))
 
 
 def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
@@ -111,7 +110,7 @@ def _fiber_split(
 ) -> Decomposition:
     # The mean of each fiber's images, summed in index order, is an outer zero.
     d = inner.degree
-    images = [blaschke_eval(inner, a) for a in product.zeros]
+    images = _values(inner, product.zeros)
     outer_zeros = [sum(images[i] for i in fiber) / d for fiber in _clusters(images, d)]
     try:
         constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import BadShape, OrbitDegenerate, OrbitNotClosed, Record
@@ -20,11 +21,14 @@ from .moebius import (
     ORBIT_CLOSURE_TOL,
     ORBIT_DISTINCT_TOL,
     MoebiusTransform,
-    moebius_eval,
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, blaschke_eval, is_canonical
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_value, is_canonical
+
+# A candidate's c and alpha, in range by construction: the search builds a
+# MoebiusTransform only for the one it returns or warns about.
+_Candidate = namedtuple("_Candidate", "c alpha")
 
 
 class InvariantGroup(Record):
@@ -82,8 +86,10 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     at every degree; the points are equally spaced there.  Both sides are
     degree-n products, which agree everywhere once they agree at 2n + 1
     points of the circle, so ``samples >= degree + 1`` decides equality.
-    :func:`find_invariant_group` checks the same residuals on the same
-    points, with B evaluated there once per search.
+    There B(z) = c P(z) / (z^n conj(P(z))) with P(z) = prod (z - a), one
+    multiply per zero, and M maps the circle to itself, so B(M(z)) is taken
+    the same way.  :func:`find_invariant_group` checks the same residuals on
+    the same points, with B evaluated there once per search.
     """
     if samples < product.degree + 1:
         raise ValueError("need at least degree + 1 samples")
@@ -97,25 +103,26 @@ def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
 
 def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, complex]]:
     """The circle points z, each paired with B(z)."""
-    return [(z, blaschke_eval(product, z)) for z in _oracle_points(product, samples)]
+    return [(z, _circle_value(product, z)) for z in _oracle_points(product, samples)]
 
 
 def _residuals(
-    product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]
+    product: BlaschkeProduct, m: MoebiusTransform | _Candidate, oracle: list[tuple[complex, complex]]
 ) -> Iterator[float]:
-    return (abs(blaschke_eval(product, moebius_eval(m, z)) - bz) for z, bz in oracle)
+    c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
+    return (abs(_circle_value(product, c * (z - alpha) / (1.0 - alphac * z)) - bz) for z, bz in oracle)
 
 
-def _rotation_candidates(k: int) -> list[MoebiusTransform]:
+def _rotation_candidates(k: int) -> list[_Candidate]:
     """The rotations by the k-th roots of unity other than 1."""
-    return [MoebiusTransform(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
+    return [_Candidate(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
 
 
-def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
+def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[_Candidate]:
     """Distinct candidate invariants read off the zero set of ``product``."""
     nonzero = [(z, abs(z)) for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
     pairs = [(aj, al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
-    candidates = [MoebiusTransform(-aj / al / abs(aj / al), al) for aj, al in pairs]
+    candidates = [_Candidate(-aj / al / abs(aj / al), al) for aj, al in pairs]
     # A rotation fixes 0, which the pole-at-a-zero form cannot express.  With
     # B(z) = z^k g(z) and g(0) != 0, B(wz) = B(z) forces w^k = 1 at z = 0.
     candidates += _rotation_candidates(product.degree - len(nonzero))
@@ -139,10 +146,12 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     at every degree, so a map that (nearly) permutes the zeros without
     being invariant leaves a residual there that the small values |B| takes
     inside the disk at high degree cannot hide.  B is evaluated at the
-    circle points once per search.  The first candidate that passes, with
-    an order dividing the degree, generates the group: the invariants of a
-    finite Blaschke product form a finite, hence cyclic, subgroup of the
-    disk automorphisms, so every other invariant is one of its powers.
+    circle points once per search, as c P(z) / (z^n conj(P(z))) with
+    P(z) = prod (z - a), one multiply per zero.  The first candidate that
+    passes, with an order dividing the degree, generates the group: the
+    invariants of a finite Blaschke product form a finite, hence cyclic,
+    subgroup of the disk automorphisms, so every other invariant is one of
+    its powers.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
@@ -166,11 +175,12 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     for order, cand in ranked:
         if any(r > tol for r in _residuals(product, cand, oracle)):
             continue
+        generator = MoebiusTransform(*cand)
         if order is None or n % order:
             warnings.warn(
-                f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}",
+                f"invariant candidate {generator!r} has order {order!r} inconsistent with degree {n}",
                 stacklevel=2,
             )
             continue
-        return (InvariantGroup(cand, order, identity_tol),)
+        return (InvariantGroup(generator, order, identity_tol),)
     return ()

@@ -136,10 +136,13 @@ def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT
 
 
 def _orbit_of_zero(m: MoebiusTransform, n: int, closure_tol: float) -> tuple[tuple[complex, ...], bool]:
+    # moebius_eval's arithmetic without its checks: M maps the disk to itself.
+    c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
     points = [0j]
-    for _ in range(n - 1):
-        points.append(moebius_eval(m, points[-1]))
-    return tuple(points), abs(moebius_eval(m, points[-1])) <= closure_tol
+    for _ in range(n):
+        z = points[-1]
+        points.append(c * (z - alpha) / (1.0 - alphac * z))
+    return tuple(points[:-1]), abs(points[-1]) <= closure_tol
 
 
 def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> Optional[int]:
@@ -155,6 +158,11 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     at which ``m`` itself counts as the identity (order 1), and the rotation
     angle in radians, modulo 2 pi, that M^k may keep and still count as the
     identity.
+
+    Unless the angle of M itself is within ``tol``, the smallest such k >= 2
+    is closer to closing than every smaller k: a best approximation of
+    t = arccos(x) / pi, hence the denominator of a continued-fraction
+    convergent of t (Khinchin, *Continued Fractions*), and only those are tried.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -165,8 +173,18 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     if x >= 1.0:
         return None
     turns = math.acos(x) / math.pi
-    for k in range(2, cap + 1):
-        if 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
+    if 2 * math.pi * turns <= tol:  # k = 1 passes the test below, so try every k
+        ks = range(2, cap + 1)
+    else:  # the convergents' denominators after 1, from turns = num / den exactly
+        ks, q_prev, q = [], 0, 1
+        num, den = turns.as_integer_ratio()
+        while num and q <= cap:
+            step, rest = divmod(den, num)
+            q_prev, q = q, step * q + q_prev
+            num, den = rest, num
+            ks.append(q)
+    for k in ks:
+        if k <= cap and 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
             return k
     return None
 

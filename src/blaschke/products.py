@@ -28,6 +28,9 @@ PREIMAGE_PHASE_TOL = 1e-10
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
 # Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
+# The |P| from which _circle_value takes B: a subnormal P has lost digits,
+# and beyond 1/min its products with unit numbers could overflow.
+_NORMAL_RANGE = (sys.float_info.min, 1.0 / sys.float_info.min)
 
 
 class BlaschkeProduct(Record):
@@ -73,10 +76,35 @@ def blaschke_eval(product: BlaschkeProduct, z: complex) -> complex:
     z = require_finite(z)
     if abs(z) > 1.0 + EVAL_DOMAIN_TOL:
         raise DomainError(f"|z| = {abs(z)!r} lies outside the closed unit disk")
-    value = product.constant
+    return _values(product, (z,))[0]
+
+
+def _values(product: BlaschkeProduct, points: Iterable[complex]) -> list[complex]:
+    """B at each of ``points``, which the caller has checked: c times prod (z - a)/(1 - conj(a) z)."""
+    c, pairs = product.constant, [(a, a.conjugate()) for a in product.zeros]
+    values = []
+    for z in points:
+        value = c
+        for a, ac in pairs:
+            value *= (z - a) / (1.0 - ac * z)
+        values.append(value)
+    return values
+
+
+def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
+    """B at a point z of the unit circle: c P(z) / (z^n conj(P(z))) with P = prod (z - a).
+
+    On the circle 1 - conj(a) z = z conj(z - a), so one multiply per zero
+    replaces a quotient (Garcia, Mashreghi and Ross, 2018).  Where |P| leaves
+    ``_NORMAL_RANGE`` the quotient form of :func:`_values` is used.
+    """
+    p = 1.0 + 0j
     for a in product.zeros:
-        value *= (z - a) / (1.0 - a.conjugate() * z)
-    return value
+        p *= z - a
+    tiny, huge = _NORMAL_RANGE
+    if not tiny <= abs(p) <= huge:
+        return _values(product, (z,))[0]
+    return product.constant * p / (z ** len(product.zeros) * p.conjugate())
 
 
 def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, ...]:
@@ -101,13 +129,15 @@ def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY
     """Pointwise equality oracle at 2n + 1 points of the unit circle.
 
     There |B| = 1 at every degree, and B = 1/conj(B), so degree-n products
-    agree where P_a Q_b - P_b Q_a, of degree at most 2n, vanishes.
+    agree where P_a Q_b - P_b Q_a, of degree at most 2n, vanishes.  B is
+    evaluated there as c P(z) / (z^n conj(P(z))), P(z) = prod (z - a), one
+    multiply per zero (:func:`_circle_value`).
     """
     if a.degree != b.degree:
         return False
     count = 2 * a.degree + 1
     circle = (cmath.exp(2j * math.pi * k / count) for k in range(count))
-    return all(abs(blaschke_eval(a, z) - blaschke_eval(b, z)) <= tol for z in circle)
+    return all(abs(_circle_value(a, z) - _circle_value(b, z)) <= tol for z in circle)
 
 
 def recover_constant(

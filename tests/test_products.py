@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -503,3 +504,60 @@ def test_phase_points_next_to_a_zero_near_the_circle():
                     assert_preimage(b, lam, z, rounding=1e-14)
                     if not isinstance(full, type):
                         assert min(range(n), key=lambda j: abs(full[j] - z)) == i
+
+
+def quotient_values(product, points):
+    """B by the quotient form, one factor at a time: the reference for the evaluation kernels."""
+    values = []
+    for z in points:
+        value = product.constant
+        for a in product.zeros:
+            value *= (z - a) / (1.0 - a.conjugate() * z)
+        values.append(value)
+    return values
+
+
+def test_values_kernel_is_the_quotient_form_bit_for_bit():
+    rng = random.Random(5)
+    for degree in (1, 2, 7, 30):
+        product = random_product(rng, degree, radius=0.95)
+        points = [random_interior(rng, 1.0) for _ in range(20)]
+        points += [cmath.exp(2j * math.pi * k / 9) for k in range(9)]
+        expected = quotient_values(product, points)
+        assert blaschke.products._values(product, points) == expected
+        assert [blaschke_eval(product, z) for z in points] == expected
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 10, 20, 50, 100, 200])
+def test_circle_kernel_matches_the_quotient_form(degree):
+    # Within the rounding of the factors: a few eps each, and eps / |z - a|
+    # where the steep factor of a zero a near the circle meets z.
+    rng = random.Random(degree)
+    zeros = [random_interior(rng, 0.95) for _ in range(degree)]
+    zeros[0] = (1.0 - 1e-8) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    if degree > 1:
+        zeros[1] = (1.0 - 1e-8) * cmath.exp(2j * math.pi / (2 * degree + 1))
+    product = BlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), zeros)
+    count = 2 * degree + 1
+    for k in range(count):
+        z = cmath.exp(2j * math.pi * k / count)
+        bound = 8.0 * sys.float_info.epsilon * (degree + sum(1.0 / abs(z - a) for a in zeros))
+        assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= bound
+
+
+def test_circle_kernel_falls_back_where_p_leaves_the_normal_range():
+    # P = prod (z - a) overflows for 1,300 zeros near -z (|z - a| > 1.8),
+    # vanishes for 400 zeros near z and is subnormal for 309 zeros at
+    # distance 0.1, where c P / (z^n conj(P)) would be NaN or lose digits.
+    z = cmath.exp(0.3j)
+    rng = random.Random(9)
+    overflow = [-z * (0.85 + 0.05 * random_interior(rng, 1.0)) for _ in range(1300)]
+    underflow = [z * (0.97 + 0.01 * random_interior(rng, 1.0)) for _ in range(400)]
+    subnormal = [z * 0.9] * 309
+    for zeros in (overflow, underflow, subnormal):
+        product = BlaschkeProduct(1.0, zeros)
+        p = math.prod(z - a for a in zeros)
+        assert not sys.float_info.min <= abs(p) < math.inf
+        value = blaschke.products._circle_value(product, z)
+        assert value == quotient_values(product, [z])[0]
+        assert abs(abs(value) - 1.0) <= 1e-10

@@ -33,7 +33,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 new = set(sys.modules) - before
 print(json.dumps([code, sorted(m for m in new if m.startswith("blaschke.") or m == "dataclasses")]))
 """
-START = {"blaschke.cli", "blaschke.errors", "blaschke.moebius", "blaschke.products"}
+BASE = {"blaschke.cli", "blaschke.errors", "blaschke.moebius"}
+START = BASE | {"blaschke.products"}
 DECOMPOSE = START | {"blaschke.decompose", "blaschke.invariants"}
 PLOT = DECOMPOSE | {"blaschke.poncelet", "blaschke.figures"}
 
@@ -60,7 +61,7 @@ def docs(tmp_path):
 
 
 CASES = [
-    ("solve-c --alpha 0.5,0 --degree 5", START),
+    ("solve-c --alpha 0.5,0 --degree 5", BASE),
     ("construct --alpha 0.5,0 --c {c} --degree 4", START | {"blaschke.invariants"}),
     ("invariants --product {b4}", START | {"blaschke.invariants"}),
     ("verify --product {b4} --moebius {c},0.5,0", START | {"blaschke.invariants"}),
