@@ -3,16 +3,13 @@
 Every subcommand maps onto one public library operation.  Domain errors and
 files that cannot be read or written are reported as a machine-readable
 ``{"error", "detail"}`` object on stderr with exit code 1; argument parsing
-failures exit with code 2.  The module loads only what parsing needs, and
-parses with the chosen subcommand's parser alone; each handler imports the
-module that it runs.
+failures exit with code 2.  The module loads only what parsing needs; each
+handler imports the modules that it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import re
 import sys
@@ -109,66 +106,62 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only the one named ``only``."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="blaschke",
         description="Construct, analyze and decompose finite Blaschke products of the unit disk.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, summary: str) -> Optional[argparse.ArgumentParser]:
-        return sub.add_parser(name, help=summary) if only in (None, name) else None
+    p = sub.add_parser("solve-c", help="unimodular constants closing the orbit of 0")
+    p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL, help="orbit distinctness tolerance")
 
-    if p := add("solve-c", "unimodular constants closing the orbit of 0"):
-        p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL, help="orbit distinctness tolerance")
+    p = sub.add_parser("construct", help="invariant product from an orbit of 0")
+    p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
+    p.add_argument("--c", type=_complex_arg, required=True, metavar="RE,IM",
+                   help="unimodular constant (projected onto the circle)")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL,
+                   help="orbit closure and distinctness tolerance")
 
-    if p := add("construct", "invariant product from an orbit of 0"):
-        p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
-        p.add_argument("--c", type=_complex_arg, required=True, metavar="RE,IM",
-                       help="unimodular constant (projected onto the circle)")
-        p.add_argument("--degree", type=int, required=True)
-        p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL,
-                       help="orbit closure and distinctness tolerance")
+    p = sub.add_parser("invariants", help="invariant group of a product (a list of at most one)")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--tol", type=float, default=GROUP_MATCH_TOL)
 
-    if p := add("invariants", "invariant group of a product (a list of at most one)"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--tol", type=float, default=GROUP_MATCH_TOL)
+    p = sub.add_parser("verify", help="max residual of B(M(z)) - B(z)")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--moebius", type=_moebius_arg, required=True, metavar="CRE,CIM,ARE,AIM")
+    p.add_argument("--samples", type=int, default=100, help="extra points on the circle")
 
-    if p := add("verify", "max residual of B(M(z)) - B(z)"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--moebius", type=_moebius_arg, required=True, metavar="CRE,CIM,ARE,AIM")
-        p.add_argument("--samples", type=int, default=100, help="extra points on the circle")
+    p = sub.add_parser("decompose", help="split a product into a composition")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--method", choices=("auto", "invariants", "paired", "tripled"), default="auto",
+                   help="auto: the smallest proper divisor d of the degree with a degree-d inner factor")
+    p.add_argument("--a1-index", type=int, default=None)
 
-    if p := add("decompose", "split a product into a composition"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--method", choices=("auto", "invariants", "paired", "tripled"), default="auto",
-                       help="auto: the smallest proper divisor d of the degree with a degree-d inner factor")
-        p.add_argument("--a1-index", type=int, default=None)
+    p = sub.add_parser("compose", help="composition outer ∘ inner of two products")
+    p.add_argument("--inner", required=True, metavar="FILE")
+    p.add_argument("--outer", required=True, metavar="FILE")
 
-    if p := add("compose", "composition outer ∘ inner of two products"):
-        p.add_argument("--inner", required=True, metavar="FILE")
-        p.add_argument("--outer", required=True, metavar="FILE")
+    p = sub.add_parser("preimages", help="boundary solutions of B(z) = lambda")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--lambda", dest="lam", type=_complex_arg, required=True, metavar="RE,IM")
 
-    if p := add("preimages", "boundary solutions of B(z) = lambda"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--lambda", dest="lam", type=_complex_arg, required=True, metavar="RE,IM")
+    p = sub.add_parser("poncelet", help="inscribed ellipse of a degree-4 product")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--a1-index", type=int, default=None)
 
-    if p := add("poncelet", "inscribed ellipse of a degree-4 product"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--a1-index", type=int, default=None)
-
-    if p := add("plot", "render zeros and overlays to SVG"):
-        p.add_argument("--product", required=True, metavar="FILE")
-        p.add_argument("--lambda", dest="lams", type=_complex_arg, action="append", default=[],
-                       metavar="RE,IM", help="draw the preimage chord family (repeatable)")
-        p.add_argument("--ellipse", action="store_true", help="overlay the inscribed ellipse")
-        p.add_argument("--moebius", type=_moebius_arg, default=None, metavar="CRE,CIM,ARE,AIM",
-                       help="overlay the orbit of 0 under this transformation")
-        p.add_argument("--canvas", type=_positive_int, default=640)
-        p.add_argument("--out", required=True, metavar="FILE.svg")
+    p = sub.add_parser("plot", help="render zeros and overlays to SVG")
+    p.add_argument("--product", required=True, metavar="FILE")
+    p.add_argument("--lambda", dest="lams", type=_complex_arg, action="append", default=[],
+                   metavar="RE,IM", help="draw the preimage chord family (repeatable)")
+    p.add_argument("--ellipse", action="store_true", help="overlay the inscribed ellipse")
+    p.add_argument("--moebius", type=_moebius_arg, default=None, metavar="CRE,CIM,ARE,AIM",
+                   help="overlay the orbit of 0 under this transformation")
+    p.add_argument("--canvas", type=_positive_int, default=640)
+    p.add_argument("--out", required=True, metavar="FILE.svg")
 
     return parser
 
@@ -298,19 +291,11 @@ _HANDLERS = {
 }
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse with the named subcommand's parser alone; help and errors come from the full parser."""
-    if argv and argv[0] in _HANDLERS:
-        quiet = io.StringIO()
-        with contextlib.suppress(SystemExit), contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
-            return _build_parser(argv[0]).parse_args(argv)
-    return _build_parser().parse_args(argv)
-
-
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Execute one subcommand; returns the process exit code."""
+    parser = _build_parser()
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

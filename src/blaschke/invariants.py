@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections import namedtuple
 from collections.abc import Iterator
 
 from .errors import BadShape, OrbitDegenerate, OrbitNotClosed, Record
@@ -25,10 +24,6 @@ from .moebius import (
     moebius_order,
 )
 from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_value, is_canonical
-
-# A candidate's c and alpha, in range by construction: the search builds a
-# MoebiusTransform only for the one it returns or warns about.
-_Candidate = namedtuple("_Candidate", "c alpha")
 
 
 class InvariantGroup(Record):
@@ -107,22 +102,22 @@ def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, compl
 
 
 def _residuals(
-    product: BlaschkeProduct, m: MoebiusTransform | _Candidate, oracle: list[tuple[complex, complex]]
+    product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]
 ) -> Iterator[float]:
     c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
     return (abs(_circle_value(product, c * (z - alpha) / (1.0 - alphac * z)) - bz) for z, bz in oracle)
 
 
-def _rotation_candidates(k: int) -> list[_Candidate]:
+def _rotation_candidates(k: int) -> list[MoebiusTransform]:
     """The rotations by the k-th roots of unity other than 1."""
-    return [_Candidate(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
+    return [MoebiusTransform(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
 
 
-def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[_Candidate]:
+def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
     """Distinct candidate invariants read off the zero set of ``product``."""
     nonzero = [(z, abs(z)) for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
     pairs = [(aj, al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
-    candidates = [_Candidate(-aj / al / abs(aj / al), al) for aj, al in pairs]
+    candidates = [MoebiusTransform(-aj / al / abs(aj / al), al) for aj, al in pairs]
     # A rotation fixes 0, which the pole-at-a-zero form cannot express.  With
     # B(z) = z^k g(z) and g(0) != 0, B(wz) = B(z) forces w^k = 1 at z = 0.
     candidates += _rotation_candidates(product.degree - len(nonzero))
@@ -175,12 +170,11 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     for order, cand in ranked:
         if any(r > tol for r in _residuals(product, cand, oracle)):
             continue
-        generator = MoebiusTransform(*cand)
         if order is None or n % order:
             warnings.warn(
-                f"invariant candidate {generator!r} has order {order!r} inconsistent with degree {n}",
+                f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}",
                 stacklevel=2,
             )
             continue
-        return (InvariantGroup(generator, order, identity_tol),)
+        return (InvariantGroup(cand, order, identity_tol),)
     return ()

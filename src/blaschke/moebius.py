@@ -158,11 +158,6 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     at which ``m`` itself counts as the identity (order 1), and the rotation
     angle in radians, modulo 2 pi, that M^k may keep and still count as the
     identity.
-
-    Unless the angle of M itself is within ``tol``, the smallest such k >= 2
-    is closer to closing than every smaller k: a best approximation of
-    t = arccos(x) / pi, hence the denominator of a continued-fraction
-    convergent of t (Khinchin, *Continued Fractions*), and only those are tried.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -173,18 +168,8 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     if x >= 1.0:
         return None
     turns = math.acos(x) / math.pi
-    if 2 * math.pi * turns <= tol:  # k = 1 passes the test below, so try every k
-        ks = range(2, cap + 1)
-    else:  # the convergents' denominators after 1, from turns = num / den exactly
-        ks, q_prev, q = [], 0, 1
-        num, den = turns.as_integer_ratio()
-        while num and q <= cap:
-            step, rest = divmod(den, num)
-            q_prev, q = q, step * q + q_prev
-            num, den = rest, num
-            ks.append(q)
-    for k in ks:
-        if k <= cap and 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
+    for k in range(2, cap + 1):
+        if 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
             return k
     return None
 

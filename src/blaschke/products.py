@@ -28,9 +28,6 @@ PREIMAGE_PHASE_TOL = 1e-10
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
 # Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
-# The |P| from which _circle_value takes B: a subnormal P has lost digits,
-# and beyond 1/min its products with unit numbers could overflow.
-_NORMAL_RANGE = (sys.float_info.min, 1.0 / sys.float_info.min)
 
 
 class BlaschkeProduct(Record):
@@ -95,16 +92,18 @@ def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
     """B at a point z of the unit circle: c P(z) / (z^n conj(P(z))) with P = prod (z - a).
 
     On the circle 1 - conj(a) z = z conj(z - a), so one multiply per zero
-    replaces a quotient (Garcia, Mashreghi and Ross, 2018).  Where |P| leaves
-    ``_NORMAL_RANGE`` the quotient form of :func:`_values` is used.
+    replaces a quotient (Garcia, Mashreghi and Ross, 2018).  Each |z - a| < 2,
+    so if a partial product of P fell below the normal float range, where it
+    loses digits, then |P| < 2^(n + 1) times the least normal float.  There,
+    and where |P| could overflow, the quotient form of :func:`_values` is used.
     """
     p = 1.0 + 0j
     for a in product.zeros:
         p *= z - a
-    tiny, huge = _NORMAL_RANGE
-    if not tiny <= abs(p) <= huge:
+    n, size, tiny = len(product.zeros), abs(p), sys.float_info.min
+    if not (tiny <= size * 0.5 ** (n + 1) and size <= 1.0 / tiny):
         return _values(product, (z,))[0]
-    return product.constant * p / (z ** len(product.zeros) * p.conjugate())
+    return product.constant * p / (z ** n * p.conjugate())
 
 
 def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, ...]:

@@ -21,7 +21,6 @@ from blaschke import (
     render_svg,
     solve_unimodular_c,
 )
-from blaschke import cli
 from blaschke.cli import product_from_document, product_to_document, run
 from conftest import random_product
 
@@ -348,38 +347,6 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve-c", "--degree", "5"],
-        ["solve-c", "--alpha", "bogus", "--degree", "5"],
-        ["solve-c", "--alpha", "0.5,0", "--degree", "5", "extra"],
-        ["verify", "--product", "b.json", "--moebius", "1,0,2,0"],
-        ["decompose", "--product", "b.json", "--method", "nope"],
-        ["plot", "--help"],
-        ["construct", "--he"],
-        ["no-such-command"],
-        [],
-    ],
-)
-def test_help_and_errors_read_as_from_the_full_parser(capsys, argv):
-    # run() parses with the named subcommand's parser alone.
-    with pytest.raises(SystemExit) as full:
-        cli._build_parser().parse_args(argv)
-    expected = capsys.readouterr()
-    assert run(argv) == full.value.code
-    assert capsys.readouterr() == expected
-
-
-def test_one_subcommand_parser_parses_as_the_full_parser(poncelet_doc):
-    for argv in [
-        ["solve-c", "--alpha", "-0.5,0.25", "--degree", "5", "--tol", "1e-6"],
-        ["verify", "--product", poncelet_doc, "--moebius", "-1,0,0.3,0.2", "--samples", "7"],
-        ["plot", "--product", poncelet_doc, "--lambda", "1,0", "--lambda", "0,1", "--ellipse", "--out", "-"],
-    ]:
-        assert cli._parse(argv) == cli._build_parser().parse_args(argv)
 
 
 def test_plot_svg_structure(capsys, poncelet_doc, tmp_path):

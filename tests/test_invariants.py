@@ -238,17 +238,12 @@ def test_generator_permutes_zero_multiset():
         assert min(abs(image - z) for z in b.zeros) <= 1e-7
 
 
-def candidate_maps(product, tol):
-    """The search's candidates, each built as a transform: the search keeps raw (c, alpha) pairs."""
-    return [MoebiusTransform(*cand) for cand in invariants._unique_candidates(product, tol)]
-
-
 def vet_every_candidate(product, tol=GROUP_MATCH_TOL):
     """Reference search: full oracle on every candidate, powers dropped last."""
     n = product.degree
     identity_tol = max(IDENTITY_TOL, tol)
     accepted = []
-    for cand in candidate_maps(product, tol):
+    for cand in invariants._unique_candidates(product, tol):
         if verify_invariance(product, cand, n + 1) > tol:
             continue
         order = moebius_order(cand, n, identity_tol)
@@ -340,7 +335,7 @@ def test_exact_dedupe_keeps_the_merged_candidates_in_order():
     # Zeros equal only up to rounding (orbits that revisit points) leave
     # near-equal candidates, which the 1e-9 merge would have folded.
     for b in [*orbit_products(), *structured_products(), *random_origin_products()]:
-        exact = candidate_maps(b, GROUP_MATCH_TOL)
+        exact = invariants._unique_candidates(b, GROUP_MATCH_TOL)
         assert len(set(exact)) == len(exact)
         assert merge_close(exact) == merged_candidates(b, GROUP_MATCH_TOL), f"zeros {b.zeros}"
 
@@ -363,7 +358,7 @@ def test_every_invariant_is_a_power_of_the_generator():
     drifted = [drifted_orbit_product(n, drift) for n, drift in DRIFT_CASES]
     for b in [*orbit_products(), *structured_products(), *drifted]:
         groups = find_invariant_group(b)
-        for cand in candidate_maps(b, GROUP_MATCH_TOL):
+        for cand in invariants._unique_candidates(b, GROUP_MATCH_TOL):
             if verify_invariance(b, cand, b.degree + 1) <= GROUP_MATCH_TOL:
                 assert groups, f"invariant {cand!r} but no group for zeros {b.zeros}"
                 tol = max(GROUP_MATCH_TOL, 10 * groups[0].identity_tol)

@@ -361,41 +361,6 @@ def test_order_tol_bounds_leftover_rotation_angle():
     assert moebius_order(m, 10, tol=1e-9) is None
 
 
-def scanned_order(m, cap, tol):
-    """moebius_order by trying k = 2, ..., cap in turn: the reference for its convergent search."""
-    if max(abs(m.c - 1.0), abs(m.alpha)) <= tol:
-        return 1
-    r = abs(m.alpha)
-    x = abs(1.0 + m.c) / (2.0 * math.sqrt((1.0 - r) * (1.0 + r)))
-    if x >= 1.0:
-        return None
-    turns = math.acos(x) / math.pi
-    return next((k for k in range(2, cap + 1) if 2 * math.pi * abs(k * turns - round(k * turns)) <= tol), None)
-
-
-def test_order_from_convergents_matches_the_scan():
-    # Elliptic maps turning by 2 pi p / q plus a little about a random fixed
-    # point g, and maps whose own angle is within tol (the scanned path).
-    rng = random.Random(17)
-    maps = []
-    for _ in range(300):
-        g = random_interior(rng, 0.95)
-        q = rng.randint(1, 120)
-        angle = 2 * math.pi * rng.randint(0, q) / q + rng.choice([0.0, 1.0]) * 10 ** rng.uniform(-12, -1)
-        to_origin = MoebiusTransform(1.0, g)
-        rotation = MoebiusTransform(cmath.exp(1j * angle), 0j)
-        maps.append(moebius_compose(moebius_inverse(to_origin), moebius_compose(rotation, to_origin)))
-    maps += [MoebiusTransform(cmath.exp(2j * math.pi * rng.random()), random_interior(rng, 0.9)) for _ in range(100)]
-    checked = 0
-    for m in maps:
-        for cap in (5, 20, 100):
-            for tol in (1e-2, 1e-6, 1e-8):
-                expected = scanned_order(m, cap, tol)
-                assert moebius_order(m, cap, tol) == expected, (m, cap, tol)
-                checked += expected not in (None, 1)
-    assert checked > 500
-
-
 def test_orbit_points_are_iterated_moebius_eval_bit_for_bit():
     rng = random.Random(13)
     closed = [MoebiusTransform(c, 0.4 + 0.1j) for c, _ in solve_unimodular_c(0.4 + 0.1j, 9)]

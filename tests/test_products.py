@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
+import operator
 import random
 import sys
 
@@ -545,19 +547,23 @@ def test_circle_kernel_matches_the_quotient_form(degree):
         assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= bound
 
 
-def test_circle_kernel_falls_back_where_p_leaves_the_normal_range():
+def test_circle_kernel_falls_back_where_a_partial_product_leaves_the_normal_range():
     # P = prod (z - a) overflows for 1,300 zeros near -z (|z - a| > 1.8),
     # vanishes for 400 zeros near z and is subnormal for 309 zeros at
     # distance 0.1, where c P / (z^n conj(P)) would be NaN or lose digits.
+    # After 320 zeros at distance 0.1, 50 more near -z bring |P| back to
+    # about 3e-306, normal, but the digits lost on the way stay lost.
     z = cmath.exp(0.3j)
     rng = random.Random(9)
     overflow = [-z * (0.85 + 0.05 * random_interior(rng, 1.0)) for _ in range(1300)]
     underflow = [z * (0.97 + 0.01 * random_interior(rng, 1.0)) for _ in range(400)]
     subnormal = [z * 0.9] * 309
-    for zeros in (overflow, underflow, subnormal):
+    recovered = [z * 0.9] * 320 + [-0.95 * z] * 50
+    assert sys.float_info.min <= abs(math.prod(z - a for a in recovered)) < math.inf
+    for zeros in (overflow, underflow, subnormal, recovered):
         product = BlaschkeProduct(1.0, zeros)
-        p = math.prod(z - a for a in zeros)
-        assert not sys.float_info.min <= abs(p) < math.inf
+        partial = itertools.accumulate((z - a for a in zeros), operator.mul)
+        assert not all(sys.float_info.min <= abs(p) < math.inf for p in partial)
         value = blaschke.products._circle_value(product, z)
         assert value == quotient_values(product, [z])[0]
         assert abs(abs(value) - 1.0) <= 1e-10
