@@ -174,6 +174,17 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     return None
 
 
+def _solve_quadratic(c0: complex, c1: complex, c2: complex) -> list[complex]:
+    # c2 z^2 + c1 z + c0 = 0, c2 != 0; branch chosen to avoid cancellation.
+    disc = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
+    if (c1.conjugate() * disc).real < 0:
+        disc = -disc
+    q = -(c1 + disc) / 2
+    r1 = q / c2
+    r2 = c0 / q if q != 0 else -r1
+    return [r1, r2]
+
+
 def moebius_fixed_point_in_disk(m: MoebiusTransform) -> Optional[complex]:
     """The fixed point of ``m`` inside the open disk, or None.
 
@@ -184,8 +195,6 @@ def moebius_fixed_point_in_disk(m: MoebiusTransform) -> Optional[complex]:
         raise ValueError("the identity fixes every point")
     if m.alpha == 0:
         return 0j
-    from .numerics import _solve_quadratic
-
     roots = _solve_quadratic(-m.c * m.alpha, m.c - 1.0, m.alpha.conjugate())
     interior = [z for z in roots if abs(z) <= 1.0 - 1e-9]
     if not interior:

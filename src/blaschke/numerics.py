@@ -1,11 +1,11 @@
-"""Dense complex polynomials and a simultaneous root finder.
+"""Dense complex polynomials and their roots.
 
-:func:`poly_roots`, an Aberth-Ehrlich iteration on all roots of a polynomial
-at once, serves polynomials given by their coefficients; no package path
-calls it.  Compositions and boundary preimages are solved from the factors
-(see ``products``); fixed points solve a quadratic in closed form.
+:func:`poly_roots` serves polynomials given by their coefficients; no
+package path calls it.  It runs the Aberth-Ehrlich loop that also solves
+compositions from the factors (``products._aberth``) on the Horner ratio,
+and the quadratic closed form of fixed points (``moebius``) at degree 2.
 :func:`require_finite` lives in ``errors``, which every module imports, and
-is re-exported here; the package's start path does not load this module.
+is re-exported here; no CLI command loads this module.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from typing import Iterable, Sequence
 
 from .errors import NonConvergence, Record, require_finite
+from .moebius import _solve_quadratic
+from .products import _aberth
 
 # Relative tolerance below which a leading coefficient is treated as zero.
 LEADING_TRIM = 1e-14
@@ -94,17 +96,6 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def _solve_quadratic(c0: complex, c1: complex, c2: complex) -> list[complex]:
-    # c2 z^2 + c1 z + c0 = 0, c2 != 0; branch chosen to avoid cancellation.
-    disc = cmath.sqrt(c1 * c1 - 4 * c2 * c0)
-    if (c1.conjugate() * disc).real < 0:
-        disc = -disc
-    q = -(c1 + disc) / 2
-    r1 = q / c2
-    r2 = c0 / q if q != 0 else -r1
-    return [r1, r2]
-
-
 def _converged(
     value: complex, root: complex, reversed_weights: Sequence[float], scale: float, limit: float
 ) -> bool:
@@ -131,60 +122,16 @@ def _converged(
     return math.log(residual) <= math.log(limit * reduced) + degree * math.log(size)
 
 
-def _aberth(coeffs: Sequence[complex], scale: float) -> tuple[list[complex], int]:
-    # Returns the roots and the number of sweeps run.
-    n = len(coeffs) - 1
-    dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
-    weights = [abs(c) for c in reversed(coeffs)]
-    # Equispaced start ring at the geometric mean of the root moduli, taken
-    # by logarithms, with an angular offset so symmetric inputs do not trap
-    # the iteration on a symmetry axis.
-    radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / n)
-    roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / n + 0.5)) for k in range(n)]
-    for sweep in range(MAX_SWEEPS):
-        pvals = [_horner(coeffs, z) for z in roots]
-        done = [_converged(v, z, weights, scale, RESIDUAL_TARGET) for v, z in zip(pvals, roots)]
-        if all(done):
-            return roots, sweep
-        new_roots = []
-        moving = False
-        for i, z in enumerate(roots):
-            if done[i]:
-                new_roots.append(z)
-                continue
-            dv = _horner(dcoeffs, z)
-            if dv == 0:
-                # Stationary point: nudge off it and keep sweeping.
-                new_roots.append(z + (1e-6 + 1e-6j) * (1.0 + abs(z)))
-                moving = True
-                continue
-            ratio = pvals[i] / dv
-            repel = 0j
-            for j, w in enumerate(roots):
-                if j != i:
-                    dz = z - w
-                    repel += 1.0 / dz if dz != 0 else 1e12
-            denom = 1.0 - ratio * repel
-            step = ratio if denom == 0 else ratio / denom
-            new_roots.append(z - step)
-            # Stagnation is judged per iterate: a step of a huge root says
-            # nothing about whether a small one has settled.  A NaN step
-            # compares false, so the iterates are tested for finiteness too.
-            moving = moving or abs(step) > 1e-16 * (1.0 + abs(z))
-        roots = new_roots
-        if not moving or not all(map(cmath.isfinite, roots)):
-            return roots, sweep + 1
-    return roots, MAX_SWEEPS
-
-
 def poly_roots(p: ComplexPolynomial) -> list[complex]:
     """All ``degree(p)`` roots of ``p``, with multiplicity, in no fixed order.
 
     Each returned root r satisfies |p(r)| <= ``RESIDUAL_LIMIT`` * max|c_k|
     if |r| <= 1 and |p(r)| <= ``RESIDUAL_LIMIT`` * sum |c_k| |r|^k if
-    |r| > 1; the sweep stops each root at the same test with
-    ``RESIDUAL_TARGET``.  Raises :class:`NonConvergence` if the sweeps stop
-    first: at the cap, on stagnation or at a non-finite iterate.
+    |r| > 1.  Degree 2 is solved in closed form and higher degree by the
+    package's one Aberth-Ehrlich loop (``products._aberth``), which settles
+    each root at the same test with ``RESIDUAL_TARGET``.  Raises
+    :class:`NonConvergence` if a root stops first: at the sweep cap or at a
+    rounding-sized step.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -203,7 +150,18 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
     elif m == 2:
         roots.extend(_solve_quadratic(*coeffs))
     elif m >= 3:
-        found, sweeps = _aberth(coeffs, scale)
+        dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
+        deflated = [abs(c) for c in reversed(coeffs)]
+
+        def newton(z: complex) -> tuple[complex, bool]:
+            value = _horner(coeffs, z)
+            if _converged(value, z, deflated, scale, RESIDUAL_TARGET):
+                return 0j, True
+            return value / _horner(dcoeffs, z), False
+
+        # The start ring sits at the geometric mean of the root moduli, taken by logarithms.
+        radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / m)
+        found, sweeps = _aberth(newton, m, radius, MAX_SWEEPS, False)
         roots.extend(found)
     weights = [abs(c) for c in reversed(p.coeffs)]
     for r in roots:

@@ -1,4 +1,9 @@
-"""Finite Blaschke products: evaluation, equality, and composition and preimages solved from the factors."""
+"""Finite Blaschke products: evaluation, equality, and composition and preimages solved from the factors.
+
+Composition solves D(z) = b by :func:`_aberth`, the package's one
+Aberth-Ehrlich loop, which ``numerics.poly_roots`` shares; this module
+does not import ``numerics``.
+"""
 
 from __future__ import annotations
 
@@ -167,45 +172,67 @@ def recover_constant(
     raise NormalizationError("no usable probe point for constant recovery")
 
 
-def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
-    """The d solutions of D(z) = b, |b| < 1, all in the disk: the roots of c P - b Q.
+def _aberth(
+    newton: Callable[[complex], tuple[complex, bool]], count: int, radius: float, limit: int, disk: bool
+) -> tuple[list[complex], int]:
+    """Aberth-Ehrlich on ``count`` simultaneous roots, in place: the roots and the number of sweeps run.
 
-    Aberth-Ehrlich in place from a ring of radius 0.6, with the Newton ratio
-    (D - b)/(D S1 - b S2), S1 = sum 1/(z - a), S2 = -sum conj(a)/(1 - conj(a) z),
-    from the factors.  An iterate that would leave the disk is pulled back
-    halfway to the circle; a root stops at a step of 4 eps (1 + |z|).  Raises
-    :class:`NonConvergence` when |D(z) - b| exceeds ``PREIMAGE_PHASE_TOL`` plus
-    ``PREIMAGE_ROUNDING`` (1 + sum 1/|z - a| + 1/|1 - conj(a) z|), the rounding
-    of D near z, and :class:`DomainError` within ``OPEN_DISK_MARGIN`` of the circle.
+    ``newton(z)`` gives the Newton ratio f(z)/f'(z) and whether z has settled.
+    The roots start equispaced on the ring of radius ``radius``, turned so
+    that symmetric inputs do not trap them on an axis.  A root stops once
+    settled or after a step of at most 4 eps (1 + |z|); a non-finite step, on
+    a pole, another root or a critical point, becomes a small nudge.  With
+    ``disk``, an iterate that would leave the disk is pulled back halfway to
+    the circle.  At most ``limit`` sweeps run.
     """
-    if b == 0:
-        return list(inner.zeros)
-    c, d, pairs = inner.constant, inner.degree, [(a, a.conjugate()) for a in inner.zeros]
-    roots = [0.6 * cmath.exp(1j * (2 * math.pi * (k + 0.35) / d + 0.5)) for k in range(d)]
-    active, sweeps = list(range(d)), 0
-    while active and sweeps < PREIMAGE_MAX_STEPS:
+    roots = [radius * cmath.exp(1j * (2 * math.pi * (k + 0.35) / count + 0.5)) for k in range(count)]
+    active, sweeps = list(range(count)), 0
+    while active and sweeps < limit:
         still, sweeps = [], sweeps + 1
         for i in active:
             z = roots[i]
-            value, s1, s2, repel = c, 0j, 0j, 0j
             try:
-                for a, ac in pairs:
-                    u, w = z - a, 1.0 / (1.0 - ac * z)
-                    value, s1, s2 = value * u * w, s1 + 1.0 / u, s2 + ac * w
+                ratio, settled = newton(z)
+                if settled:
+                    continue
+                repel = 0j
                 for j, r in enumerate(roots):
                     if j != i:
                         repel += 1.0 / (z - r)
-                ratio = (value - b) / (value * s1 + b * s2)
                 step = ratio / (1.0 - ratio * repel)
             except ZeroDivisionError:
                 step = math.nan
-            if not cmath.isfinite(step):  # on a zero of D, another root or a critical point
-                step = (1e-6 + 1e-6j) * (1.0 - abs(z))
+            if not cmath.isfinite(step):
+                step = (1e-6 + 1e-6j) * (1.0 + abs(z))
             new = z - step
-            roots[i] = new if abs(new) < 1.0 else new * 0.5 * (1.0 + abs(z)) / abs(new)
+            roots[i] = new if not disk or abs(new) < 1.0 else new * 0.5 * (1.0 + abs(z)) / abs(new)
             if not abs(step) <= 4.0 * sys.float_info.epsilon * (1.0 + abs(z)):
                 still.append(i)
         active = still
+    return roots, sweeps
+
+
+def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
+    """The d solutions of D(z) = b, |b| < 1, all in the disk: the roots of c P - b Q.
+
+    :func:`_aberth` in the disk from a ring of radius 0.6, with the Newton
+    ratio (D - b)/(D S1 - b S2), S1 = sum 1/(z - a), S2 = -sum conj(a)/(1 - conj(a) z),
+    from the factors.  Raises :class:`NonConvergence` when |D(z) - b| exceeds
+    ``PREIMAGE_PHASE_TOL`` plus ``PREIMAGE_ROUNDING`` (1 + sum 1/|z - a| + 1/|1 - conj(a) z|),
+    the rounding of D near z, and :class:`DomainError` within ``OPEN_DISK_MARGIN`` of the circle.
+    """
+    if b == 0:
+        return list(inner.zeros)
+    c, pairs = inner.constant, [(a, a.conjugate()) for a in inner.zeros]
+
+    def newton(z: complex) -> tuple[complex, bool]:
+        value, s1, s2 = c, 0j, 0j
+        for a, ac in pairs:
+            u, w = z - a, 1.0 / (1.0 - ac * z)
+            value, s1, s2 = value * u * w, s1 + 1.0 / u, s2 + ac * w
+        return (value - b) / (value * s1 + b * s2), False
+
+    roots, _ = _aberth(newton, inner.degree, 0.6, PREIMAGE_MAX_STEPS, True)
     for z in roots:
         residual = abs(c * math.prod([(z - a) / (1.0 - ac * z) for a, ac in pairs]) - b)
         if not residual <= PREIMAGE_PHASE_TOL:

@@ -724,18 +724,18 @@ def test_auto_rejects_trivial_splits():
     assert decompose_tripled_3n(degree3).outer.degree == 1
 
 
-def test_auto_splits_without_the_aberth_iteration(monkeypatch):
+def test_auto_splits_without_a_polynomial(monkeypatch):
     import blaschke.numerics
 
-    # The compositions are built before the iteration is switched off.
     rng = random.Random(27)
     cases = [(orbit_product(9), 3), (shuffled_composition(rng, 3, 9), 3)]
     cases += [(shuffled_composition(rng, d, m), d) for d in (4, 5, 7) for m in (2, 3)]
 
-    def no_aberth(*args):
-        raise AssertionError("the Aberth iteration ran")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polynomial was expanded or solved")
 
-    monkeypatch.setattr(blaschke.numerics, "_aberth", no_aberth)
+    monkeypatch.setattr(blaschke.numerics, "poly_roots", refuse)
+    monkeypatch.setattr(blaschke.numerics.ComplexPolynomial, "__init__", refuse)
     for b, d in cases:
         dec = decompose_auto(b)
         assert dec.source is (DecompositionSource.TRIPLED_ZEROS_3N if d == 3 else DecompositionSource.BOUNDARY_FIBERS)

@@ -80,6 +80,16 @@ def test_roots_never_overflow_at_high_degree():
     assert len(roots) == p.degree
 
 
+def test_roots_report_an_unfinished_solve(monkeypatch):
+    # Cut to one sweep, the iteration stops far from the roots.
+    import blaschke.numerics
+
+    monkeypatch.setattr(blaschke.numerics, "MAX_SWEEPS", 1)
+    p = ComplexPolynomial.from_roots([0.3, -0.5j, 0.7 + 0.2j, -0.4, 0.1 + 0.6j])
+    with pytest.raises(NonConvergence, match=r"after 1 of at most 1 sweeps"):
+        poly_roots(p)
+
+
 def test_roots_with_tiny_leading_coefficient():
     # 1e-12 z^4 + 1.5 z^3 + 1 has one root near -1.5e12 and the three cube
     # roots of -2/3.  Judged only against the |z|^degree cap, the sweep took

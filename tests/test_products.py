@@ -231,9 +231,25 @@ def test_compose_reports_an_unfinished_solve(monkeypatch):
         blaschke_compose(BlaschkeProduct(1.0, (0.5 + 0j,)), inner)
 
 
+def test_disk_preimages_match_the_expanded_polynomial():
+    # poly_roots and composition share one Aberth-Ehrlich loop: on the
+    # coefficients of c P - b Q and on the factors they find the same roots.
+    from blaschke.numerics import ComplexPolynomial, poly_roots
+    from blaschke.products import _disk_preimages
+
+    rng = random.Random(71)
+    for _ in range(30):
+        inner, b = random_product(rng, rng.randint(2, 8)), random_interior(rng, 0.8)
+        q = ComplexPolynomial([1.0])
+        for a in inner.zeros:
+            q = q * ComplexPolynomial([1.0, -a.conjugate()])
+        expanded = ComplexPolynomial.from_roots(inner.zeros).scaled(inner.constant) - q.scaled(b)
+        assert multiset_close(poly_roots(expanded), _disk_preimages(inner, b), 1e-9)
+
+
 def test_compose_needs_no_polynomial(monkeypatch, tmp_path, capsys):
     import blaschke.cli
-    import blaschke.numerics
+    import blaschke.moebius
 
     def refuse(*args, **kwargs):
         raise AssertionError("a polynomial was expanded or solved")
@@ -244,8 +260,8 @@ def test_compose_needs_no_polynomial(monkeypatch, tmp_path, capsys):
     for name, product in (("inner", inner), ("outer", outer)):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(blaschke.cli.product_to_document(product)))
-    for name in ("poly_roots", "_aberth", "_solve_quadratic"):
-        monkeypatch.setattr(blaschke.numerics, name, refuse)
+    monkeypatch.setattr(blaschke.numerics, "poly_roots", refuse)
+    monkeypatch.setattr(blaschke.moebius, "_solve_quadratic", refuse)
     monkeypatch.setattr(blaschke.numerics.ComplexPolynomial, "__init__", refuse)
     assert circle_roundtrip(blaschke_compose(outer, inner), outer, inner) <= 1e-12
     assert blaschke.cli.run(["compose", "--inner", str(paths[0]), "--outer", str(paths[1])]) == 0

@@ -66,7 +66,7 @@ CASES = [
     ("invariants --product {b4}", START | {"blaschke.invariants"}),
     ("verify --product {b4} --moebius {c},0.5,0", START | {"blaschke.invariants"}),
     ("decompose --product {b4}", DECOMPOSE),
-    ("decompose --product {b4} --method invariants", DECOMPOSE | {"blaschke.numerics"}),
+    ("decompose --product {b4} --method invariants", DECOMPOSE),
     ("compose --inner {inner} --outer {outer}", START),
     ("preimages --product {poncelet} --lambda 1,0", START),
     ("poncelet --product {poncelet}", DECOMPOSE | {"blaschke.poncelet"}),
