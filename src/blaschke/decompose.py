@@ -6,8 +6,9 @@ B factors through the inner factor, the fiber images are the zeros of the
 outer factor (Garcia–Mashreghi–Ross, *Finite Blaschke Products and Their
 Connections*, 2018).  The split is accepted only when outer(inner(z)) = B(z)
 within ``ROUNDTRIP_TOL`` at the n + 1 interior probes of
-:func:`roundtrip_residual`, so no route takes a tolerance of its own; those
-probes do not decide equality of degree-n products (see there).
+:func:`roundtrip_residual`, so no route takes a tolerance of its own.  They
+start the walk ``products._probe`` that the outer constant is recovered on,
+and do not decide equality of degree-n products (see there).
 A canonical B factors through at most one inner factor D of degree d with
 D(0) = 0 and constant 1: B's boundary preimages of 1 fall into D's fibers
 in a fixed cyclic pattern, and two of those fibers, 2d of the n preimages,
@@ -42,10 +43,10 @@ from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
     _phase_points,
+    _probe,
     _values,
     blaschke_eval,
     is_canonical,
-    probe_points,
     recover_constant,
 )
 
@@ -85,12 +86,13 @@ class StructuredZeroConditions(Record):
 def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     """Max deviation of ``outer(inner(z))`` from the original at n + 1 probes.
 
-    The probes are :func:`~blaschke.products.probe_points`, on the circle of
-    radius 1/2, where |B| shrinks with the degree.  They do not decide
-    equality of degree-n products, which takes 2n + 1 points of the unit
-    circle (ROADMAP, "Equality and round-trip probes inside the disk").
+    The probes are ``products._probe`` (0) to (n), where |B| shrinks with the
+    degree, so they do not decide equality of degree-n products, which takes
+    2n + 1 points of the unit circle (ROADMAP, "The split round trip on the
+    unit circle").  A probe on a zero of B is harmless: both sides are
+    products with no pole inside the disk and read 0 there.
     """
-    pts = probe_points(original.degree, original.zeros)
+    pts = [_probe(k) for k in range(original.degree + 1)]
     composed = _values(dec.outer, _values(dec.inner, pts))
     return max(abs(w - b) for w, b in zip(composed, _values(original, pts)))
 

@@ -23,7 +23,7 @@ from .moebius import (
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_value, is_canonical
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_points, _circle_value, is_canonical
 
 
 class InvariantGroup(Record):
@@ -91,14 +91,9 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     return max(_residuals(product, m, _oracle(product, samples)))
 
 
-def _oracle_points(product: BlaschkeProduct, samples: int) -> list[complex]:
-    count = product.degree + 1 + samples
-    return [cmath.exp(2j * math.pi * k / count) for k in range(count)]
-
-
 def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, complex]]:
-    """The circle points z, each paired with B(z)."""
-    return [(z, _circle_value(product, z)) for z in _oracle_points(product, samples)]
+    """The ``degree + 1 + samples`` circle points z, each paired with B(z)."""
+    return [(z, _circle_value(product, z)) for z in _circle_points(product.degree + 1 + samples)]
 
 
 def _residuals(

@@ -3,7 +3,8 @@
 :func:`poly_roots` serves polynomials given by their coefficients; no
 package path calls it.  It runs the Aberth-Ehrlich loop that also solves
 compositions from the factors (``products._aberth``) on the Horner ratio,
-and the quadratic closed form of fixed points (``moebius``) at degree 2.
+taken from the reversed polynomial at 1/z outside the unit circle, and the
+quadratic closed form of fixed points (``moebius``) at degree 2.
 :func:`require_finite` lives in ``errors``, which every module imports, and
 is re-exported here; no CLI command loads this module.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NonConvergence, Record, require_finite
 from .moebius import _solve_quadratic
@@ -96,30 +97,26 @@ def _horner(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def _converged(
-    value: complex, root: complex, reversed_weights: Sequence[float], scale: float, limit: float
-) -> bool:
-    """Whether |p(z)| <= ``limit`` times the size of p at z.
+def _sized(coeffs: Sequence[complex]) -> Callable[[complex], tuple[complex, float]]:
+    """z -> (p(z), the size of p at z), both divided by |z|^m outside the unit circle (m the degree).
 
-    ``value`` is p(z), ``reversed_weights`` holds |c_k| from the leading
-    coefficient down and ``scale`` is max|c_k|.  Outside the unit circle the
-    size is sum |c_k| |z|^k, the size of the terms Horner adds up; a cap of
-    max|c_k| |z|^degree there would accept points nowhere near a root when
-    the leading coefficient is tiny.  Both sides are divided by |z|^degree
-    and compared as logarithms, so neither overflows.  Inside the circle
-    the size is max|c_k|: the sum can reach (degree + 1) max|c_k| there
-    and would accept less accurate roots.
+    Inside the circle the size is max|c_k|: the sum of |c_k| can reach
+    (m + 1) max|c_k| there and would accept less accurate roots.  Outside
+    it is sum |c_k| |z|^k, the size of the terms Horner adds up; a cap of
+    max|c_k| |z|^m there would accept points nowhere near a root when the
+    leading coefficient is tiny.  There p(z) / z^m = q(1/z) for the reversed
+    polynomial q(w) = w^m p(1/w), and |w| < 1, so neither side overflows.
     """
-    residual = math.hypot(value.real, value.imag)
-    size = math.hypot(root.real, root.imag)
-    if size <= 1.0:
-        return residual <= limit * scale
-    if residual == 0.0:
-        return True
-    # sum |c_k| |z|^(k - degree), finite because |z| > 1.
-    reduced = _horner(reversed_weights, 1.0 / size).real
-    degree = len(reversed_weights) - 1
-    return math.log(residual) <= math.log(limit * reduced) + degree * math.log(size)
+    scale, rev = max(abs(c) for c in coeffs), coeffs[::-1]
+    weights = [abs(c) for c in rev]
+
+    def sized(z: complex) -> tuple[complex, float]:
+        if abs(z) <= 1.0:
+            return _horner(coeffs, z), scale
+        w = 1.0 / z
+        return _horner(rev, w), _horner(weights, abs(w)).real
+
+    return sized
 
 
 def poly_roots(p: ComplexPolynomial) -> list[complex]:
@@ -135,7 +132,6 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    scale = max(abs(c) for c in p.coeffs)
     coeffs = list(p.coeffs)
     roots: list[complex] = []
     # Exact zero roots are split off so the iteration only sees a polynomial
@@ -151,24 +147,29 @@ def poly_roots(p: ComplexPolynomial) -> list[complex]:
         roots.extend(_solve_quadratic(*coeffs))
     elif m >= 3:
         dcoeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
-        deflated = [abs(c) for c in reversed(coeffs)]
+        rdcoeffs = [k * c for k, c in enumerate(reversed(coeffs)) if k > 0]
+        sized = _sized(coeffs)
 
         def newton(z: complex) -> tuple[complex, bool]:
-            value = _horner(coeffs, z)
-            if _converged(value, z, deflated, scale, RESIDUAL_TARGET):
+            value, size = sized(z)
+            if abs(value) <= RESIDUAL_TARGET * size:
                 return 0j, True
-            return value / _horner(dcoeffs, z), False
+            if abs(z) <= 1.0:
+                return value / _horner(dcoeffs, z), False
+            # p / p' = z q(w) / (m q(w) - w q'(w)) at w = 1/z, with q(w) = w^m p(1/w).
+            w = 1.0 / z
+            return z * value / (m * value - w * _horner(rdcoeffs, w)), False
 
         # The start ring sits at the geometric mean of the root moduli, taken by logarithms.
         radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / m)
         found, sweeps = _aberth(newton, m, radius, MAX_SWEEPS, False)
         roots.extend(found)
-    weights = [abs(c) for c in reversed(p.coeffs)]
+    sized = _sized(p.coeffs)
     for r in roots:
-        residual = _horner(p.coeffs, r)
-        if not (cmath.isfinite(r) and _converged(residual, r, weights, scale, RESIDUAL_LIMIT)):
+        residual, size = sized(r) if cmath.isfinite(r) else (math.nan, 0.0)
+        if not abs(residual) <= RESIDUAL_LIMIT * size:
             raise NonConvergence(
-                f"residual {math.hypot(residual.real, residual.imag):.3e} at root {r!r}"
+                f"residual {abs(residual):.3e} at root {r!r}"
                 f" exceeds the bound after {sweeps} of at most {MAX_SWEEPS} sweeps"
             )
     return roots

@@ -17,8 +17,6 @@ from .moebius import EVAL_DOMAIN_TOL, OPEN_DISK_MARGIN, UNIT_MODULUS_TOL
 
 ORIGIN_ZERO_TOL = 1e-12
 EQUALITY_TOL = 1e-8
-PROBE_RADIUS = 0.5
-PROBE_RADIUS_ALT = 0.47
 CONSTANT_RECOVERY_TOL = 1e-6
 # Accepted |Phi(t) - target| at a boundary preimage, beyond the rounding
 # allowance below.  The sum of the two bounds |B(z) - lam| as well, since
@@ -111,22 +109,14 @@ def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
     return product.constant * p / (z ** n * p.conjugate())
 
 
-def probe_points(degree: int, avoid: Iterable[complex] = ()) -> tuple[complex, ...]:
-    """``degree + 1`` equispaced interior probes, dodging the avoid set.
+def _probe(k: int) -> complex:
+    """The k-th point of the interior golden-angle walk 0.53 e^(i (0.37 + pi (sqrt 5 - 1) k))."""
+    return 0.53 * cmath.exp(1j * (0.37 + math.pi * (math.sqrt(5) - 1) * k))
 
-    Probes sit on the circle of radius 1/2; if one collides with an avoided
-    point (a zero, i.e. the reflection of a pole) the radius drops to 0.47.
-    A point within 1e-9 of a probe lies within 1e-9 of its circle, so only
-    the avoided points within 2e-9 of the circle are checked against the
-    probes: O(degree) work unless many of them crowd the circle.
-    """
-    avoid = tuple(avoid)
-    for radius in (PROBE_RADIUS, PROBE_RADIUS_ALT):
-        pts = tuple(radius * cmath.exp(2j * math.pi * k / (degree + 1)) for k in range(degree + 1))
-        near = [a for a in avoid if abs(abs(a) - radius) <= 2e-9]
-        if all(abs(p - a) > 1e-9 for p in pts for a in near):
-            return pts
-    return pts
+
+def _circle_points(count: int) -> list[complex]:
+    """``count`` equally spaced points of the unit circle, starting at 1."""
+    return [cmath.exp(2j * math.pi * k / count) for k in range(count)]
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:
@@ -139,9 +129,7 @@ def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY
     """
     if a.degree != b.degree:
         return False
-    count = 2 * a.degree + 1
-    circle = (cmath.exp(2j * math.pi * k / count) for k in range(count))
-    return all(abs(_circle_value(a, z) - _circle_value(b, z)) <= tol for z in circle)
+    return all(abs(_circle_value(a, z) - _circle_value(b, z)) <= tol for z in _circle_points(2 * a.degree + 1))
 
 
 def recover_constant(
@@ -151,13 +139,13 @@ def recover_constant(
 ) -> complex:
     """Unimodular c with ``c * prod (w-a)/(1-conj(a) w) = reference(z)``, w = inner(z).
 
-    Without ``inner``, w is z.  The equation is solved at one interior probe;
-    a probe is skipped only when it sits on a zero, where a factor vanishes,
-    so a high-degree product that is merely small there still serves.
+    Without ``inner``, w is z.  The equation is solved at the first of the
+    probes :func:`_probe` (0), (1), ... that is usable; a probe is skipped only
+    when it sits on a zero, where a factor vanishes, so a high-degree product
+    that is merely small there still serves.
     """
-    golden = math.pi * (math.sqrt(5) - 1)
     for k in range(64):
-        probe = 0.53 * cmath.exp(1j * (0.37 + golden * k))
+        probe = _probe(k)
         w = probe if inner is None else blaschke_eval(inner, probe)
         factors = [(w - a) / (1.0 - a.conjugate() * w) for a in zeros]
         denom = math.prod(factors)

@@ -572,6 +572,52 @@ def test_auto_splits_through_any_inner_degree(d):
         assert roundtrip_residual(dec, b) <= 1e-7
 
 
+def test_auto_splits_compositions_of_degree_8_to_84():
+    # Seeded compositions C ∘ D with spread zeros (|z| <= 0.8), shuffled: the
+    # split found has D's degree and composes back to B on the unit circle.
+    rng = random.Random(7)
+    for d in (2, 3, 5, 7):
+        for m in (4, 6, 8, 10, 12):
+            for _ in range(3):
+                inner = random_canonical(rng, d)
+                composed = blaschke_compose(random_canonical(rng, m), inner)
+                assert abs(composed.constant - 1.0) <= 1e-12
+                zeros = list(composed.zeros)
+                rng.shuffle(zeros)
+                b = BlaschkeProduct(1.0, tuple(zeros))
+                dec = decompose_auto(b)
+                assert dec.inner.degree == d, (d, m)
+                assert blaschke_equal(blaschke_compose(dec.outer, dec.inner), b)
+
+
+def test_a_probe_on_a_zero_is_harmless(monkeypatch):
+    # D's nonzero zero sits on the first interior probe, so that probe is a
+    # zero of B = C ∘ D.  Both sides of the round trip read 0 there, and the
+    # constant is recovered at the next probe.
+    probe = blaschke.products._probe
+    inner = BlaschkeProduct(1.0, (0j, probe(0)))
+    composed = blaschke_compose(BlaschkeProduct(1.0, (0j, 0.3 - 0.2j, -0.25j)), inner)
+    assert probe(0) in composed.zeros
+    assert abs(composed.constant - 1.0) <= 1e-12
+    b = BlaschkeProduct(1.0, composed.zeros)
+    dec = decompose_auto(b)
+    assert dec.inner.zeros == inner.zeros
+    assert roundtrip_residual(dec, b) <= 1e-12
+
+    taken = []
+
+    def recorded(k):
+        taken.append(k)
+        return probe(k)
+
+    monkeypatch.setattr(blaschke.products, "_probe", recorded)
+    for zeros, through in ((b.zeros, None), (dec.outer.zeros, inner)):
+        taken.clear()
+        constant = blaschke.products.recover_constant(zeros, lambda z: blaschke_eval(b, z), through)
+        assert taken == [0, 1]
+        assert abs(constant - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [25, 35, 49])
 def test_auto_splits_orbit_products_without_the_invariant_search(monkeypatch, n):
     import blaschke.decompose

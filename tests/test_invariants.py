@@ -398,13 +398,13 @@ def sign_flipping_product():
 
 def test_search_builds_the_oracle_once(monkeypatch):
     calls = []
-    oracle_points = invariants._oracle_points
+    circle_points = invariants._circle_points
 
     def counted(*args):
         calls.append(args)
-        return oracle_points(*args)
+        return circle_points(*args)
 
-    monkeypatch.setattr(invariants, "_oracle_points", counted)
+    monkeypatch.setattr(invariants, "_circle_points", counted)
     c, _ = solve_unimodular_c(0.4, 20)[0]
     b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
     assert find_invariant_group(b)[0].order == 20

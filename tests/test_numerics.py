@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 import re
 
 import numpy as np
@@ -124,6 +125,20 @@ def test_roots_of_geometric_coefficients(radius, degree):
     roots = poly_roots(p)
     expected = [radius * cmath.exp(2j * math.pi * j / (degree + 1)) for j in range(1, degree + 1)]
     assert multiset_close(roots, expected, 1e-9)
+
+
+@pytest.mark.parametrize("degree, leading", [(60, 1e-13), (100, 1e-13), (200, 1e-13), (300, 1e-10)])
+def test_roots_past_overflow(degree, leading):
+    # One root sits near -c_(m-1) / c_m, about 1e10 to 1e13, where |r|^degree
+    # overflows and Horner on p gives inf / inf; the iteration and the
+    # residual check take the reversed polynomial at 1/r there instead.
+    rng = random.Random(5)
+    p = ComplexPolynomial([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(degree)] + [leading])
+    roots = poly_roots(p)
+    assert len(roots) == degree
+    assert sum(abs(r) > 1e6 for r in roots) == 1
+    vieta = -p.coeffs[-2] / p.coeffs[-1]
+    assert abs(sum(roots) - vieta) <= 1e-9 * abs(vieta)
 
 
 def test_roots_degree_zero_rejected():

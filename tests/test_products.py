@@ -303,27 +303,6 @@ def test_equal_tells_apart_a_moved_zero_at_degree(degree):
     assert not blaschke_equal(b, moved)
 
 
-def probe_ring(radius, degree):
-    return tuple(radius * cmath.exp(2j * math.pi * k / (degree + 1)) for k in range(degree + 1))
-
-
-@pytest.mark.parametrize(
-    "avoid, radius",
-    [
-        # A zero on a probe of the 1/2 ring, or 5e-10 from one, moves the probes.
-        ([0.5 + 0j], 0.47),
-        ([0.5 * cmath.exp(2j * math.pi / 5) + 5e-10], 0.47),
-        # On the circle but between two probes: no collision.
-        ([0.5 * cmath.exp(1j * math.pi / 5)], 0.5),
-        # Zeros on probes of both rings: the second ring is returned anyway.
-        ([0.5 + 0j, 0.47 * cmath.exp(4j * math.pi / 5)], 0.47),
-    ],
-)
-def test_probe_points_dodge_colliding_zeros(avoid, radius):
-    far = [random_interior(random.Random(k), 0.4) for k in range(20)]
-    assert blaschke.products.probe_points(4, far + avoid) == probe_ring(radius, 4)
-
-
 def test_equal_between_product_and_its_composition_with_invariant():
     # Degree-5 product built on the orbit of its invariant map compares equal
     # to its own precomposition with that map.
