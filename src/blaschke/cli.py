@@ -75,15 +75,22 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _unit(c: complex) -> complex:
+    if c == 0:
+        raise argparse.ArgumentTypeError("constant must be nonzero")
+    return c / abs(c)
+
+
+def _unit_arg(text: str) -> complex:
+    return _unit(_complex_arg(text))
+
+
 def _moebius_arg(text: str) -> MoebiusTransform:
     try:
         cre, cim, are, aim = (float(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected CRE,CIM,ARE,AIM but got {text!r}") from exc
-    c = complex(cre, cim)
-    if c == 0:
-        raise argparse.ArgumentTypeError("constant must be nonzero")
-    return MoebiusTransform(c / abs(c), complex(are, aim))
+    return MoebiusTransform(_unit(complex(cre, cim)), complex(are, aim))
 
 
 def _read_document(path: str) -> Any:
@@ -120,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="invariant product from an orbit of 0")
     p.add_argument("--alpha", type=_complex_arg, required=True, metavar="RE,IM")
-    p.add_argument("--c", type=_complex_arg, required=True, metavar="RE,IM",
+    p.add_argument("--c", type=_unit_arg, required=True, metavar="RE,IM",
                    help="unimodular constant (projected onto the circle)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--tol", type=float, default=ORBIT_DISTINCT_TOL,
@@ -133,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="max residual of B(M(z)) - B(z)")
     p.add_argument("--product", required=True, metavar="FILE")
     p.add_argument("--moebius", type=_moebius_arg, required=True, metavar="CRE,CIM,ARE,AIM")
-    p.add_argument("--samples", type=int, default=100, help="extra points on the circle")
+    p.add_argument("--samples", type=int, help="extra points on the circle (default: degree + 1)")
 
     p = sub.add_parser("decompose", help="split a product into a composition")
     p.add_argument("--product", required=True, metavar="FILE")
@@ -174,7 +181,7 @@ def _cmd_solve_c(args) -> Any:
 def _cmd_construct(args) -> Any:
     from .invariants import construct_invariant_product
 
-    m = MoebiusTransform(args.c / abs(args.c), args.alpha)
+    m = MoebiusTransform(args.c, args.alpha)
     product = construct_invariant_product(
         m, args.degree, distinct_tol=args.tol, closure_tol=max(args.tol, ORBIT_CLOSURE_TOL)
     )
@@ -197,7 +204,8 @@ def _cmd_verify(args) -> Any:
     from .invariants import verify_invariance
 
     product = _read_product(args.product)
-    return {"max_residual": verify_invariance(product, args.moebius, args.samples)}
+    samples = product.degree + 1 if args.samples is None else args.samples
+    return {"max_residual": verify_invariance(product, args.moebius, samples)}
 
 
 def _cmd_decompose(args) -> Any:

@@ -5,10 +5,9 @@ into its fibers: the first image left and the d - 1 images nearest it.  If
 B factors through the inner factor, the fiber images are the zeros of the
 outer factor (Garcia–Mashreghi–Ross, *Finite Blaschke Products and Their
 Connections*, 2018).  The split is accepted only when outer(inner(z)) = B(z)
-within ``ROUNDTRIP_TOL`` at the n + 1 interior probes of
-:func:`roundtrip_residual`, so no route takes a tolerance of its own.  They
-start the walk ``products._probe`` that the outer constant is recovered on,
-and do not decide equality of degree-n products (see there).
+within ``ROUNDTRIP_TOL`` at the 2n + 1 unit-circle points of
+:func:`roundtrip_residual`, which decide equality of degree-n products, so
+no route takes a tolerance of its own.
 A canonical B factors through at most one inner factor D of degree d with
 D(0) = 0 and constant 1: B's boundary preimages of 1 fall into D's fibers
 in a fixed cyclic pattern, and two of those fibers, 2d of the n preimages,
@@ -42,10 +41,10 @@ from .moebius import moebius_fixed_point_in_disk, moebius_power
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
+    _circle_points,
+    _circle_value,
     _phase_points,
-    _probe,
     _values,
-    blaschke_eval,
     is_canonical,
     recover_constant,
 )
@@ -84,17 +83,17 @@ class StructuredZeroConditions(Record):
 
 
 def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
-    """Max deviation of ``outer(inner(z))`` from the original at n + 1 probes.
+    """Max deviation of ``outer(inner(z))`` from the original at 2n + 1 points of the unit circle.
 
-    The probes are ``products._probe`` (0) to (n), where |B| shrinks with the
-    degree, so they do not decide equality of degree-n products, which takes
-    2n + 1 points of the unit circle (ROADMAP, "The split round trip on the
-    unit circle").  A probe on a zero of B is harmless: both sides are
-    products with no pole inside the disk and read 0 there.
+    There |B| = 1 at every degree, and two degree-n products that agree at
+    2n + 1 points of the circle are equal, so the residual decides the
+    split.  inner maps the circle to itself, so every value, outer's too, is
+    taken by ``products._circle_value``.
     """
-    pts = [_probe(k) for k in range(original.degree + 1)]
-    composed = _values(dec.outer, _values(dec.inner, pts))
-    return max(abs(w - b) for w, b in zip(composed, _values(original, pts)))
+    return max(
+        abs(_circle_value(dec.outer, _circle_value(dec.inner, z)) - _circle_value(original, z))
+        for z in _circle_points(2 * original.degree + 1)
+    )
 
 
 def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
@@ -115,7 +114,7 @@ def _fiber_split(
     images = _values(inner, product.zeros)
     outer_zeros = [sum(images[i] for i in fiber) / d for fiber in _clusters(images, d)]
     try:
-        constant = recover_constant(outer_zeros, lambda z: blaschke_eval(product, z), inner)
+        constant = recover_constant(outer_zeros, lambda z: _circle_value(product, z), inner)
     except NormalizationError as exc:
         raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
     dec = Decomposition(inner, BlaschkeProduct(constant, tuple(outer_zeros)), source)

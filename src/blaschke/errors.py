@@ -67,7 +67,7 @@ class NonConvergence(BlaschkeError):
 
 
 class NormalizationError(BlaschkeError):
-    """A derived unimodular constant drifted too far from the unit circle."""
+    """A derived unimodular constant is off the unit circle, or reads differently at two points."""
 
 
 class NoSolution(BlaschkeError):

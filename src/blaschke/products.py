@@ -109,11 +109,6 @@ def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
     return product.constant * p / (z ** n * p.conjugate())
 
 
-def _probe(k: int) -> complex:
-    """The k-th point of the interior golden-angle walk 0.53 e^(i (0.37 + pi (sqrt 5 - 1) k))."""
-    return 0.53 * cmath.exp(1j * (0.37 + math.pi * (math.sqrt(5) - 1) * k))
-
-
 def _circle_points(count: int) -> list[complex]:
     """``count`` equally spaced points of the unit circle, starting at 1."""
     return [cmath.exp(2j * math.pi * k / count) for k in range(count)]
@@ -139,25 +134,22 @@ def recover_constant(
 ) -> complex:
     """Unimodular c with ``c * prod (w-a)/(1-conj(a) w) = reference(z)``, w = inner(z).
 
-    Without ``inner``, w is z.  The equation is solved at the first of the
-    probes :func:`_probe` (0), (1), ... that is usable; a probe is skipped only
-    when it sits on a zero, where a factor vanishes, so a high-degree product
-    that is merely small there still serves.
+    Without ``inner``, w is z.  The equation is solved at z = 1 on the unit
+    circle, where every factor has modulus 1: none vanishes, and the product
+    cannot underflow or overflow, at any degree.  Unless the solution at
+    z = i agrees within ``CONSTANT_RECOVERY_TOL``, :class:`NormalizationError`
+    is raised.  Not at -1: for zeros symmetric about the real axis both
+    solutions at 1 and -1 are real, and a misfit could agree there.
     """
-    for k in range(64):
-        probe = _probe(k)
-        w = probe if inner is None else blaschke_eval(inner, probe)
-        factors = [(w - a) / (1.0 - a.conjugate() * w) for a in zeros]
-        denom = math.prod(factors)
-        if denom == 0 or min(abs(f) for f in factors) <= 1e-9:
-            continue
-        constant = reference(probe) / denom
-        if abs(abs(constant) - 1.0) > CONSTANT_RECOVERY_TOL:
-            raise NormalizationError(
-                f"recovered constant has modulus {abs(constant)!r}, too far from 1"
-            )
-        return constant / abs(constant)
-    raise NormalizationError("no usable probe point for constant recovery")
+
+    def ratio(z: complex) -> complex:
+        w = z if inner is None else _circle_value(inner, z)
+        return reference(z) / math.prod((w - a) / (1.0 - a.conjugate() * w) for a in zeros)
+
+    at_one, at_i = ratio(1.0 + 0j), ratio(1j)
+    if not abs(at_one - at_i) <= CONSTANT_RECOVERY_TOL:
+        raise NormalizationError(f"the constant read at 1 and at i differs by {abs(at_one - at_i):.3e}")
+    return at_one / abs(at_one)
 
 
 def _aberth(
@@ -238,7 +230,7 @@ def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
 def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
     """``outer ∘ inner``: zeros from :func:`_disk_preimages`, constant from :func:`recover_constant`."""
     zeros = [z for b in outer.zeros for z in _disk_preimages(inner, b)]
-    composed = recover_constant(zeros, lambda z: blaschke_eval(outer, blaschke_eval(inner, z)))
+    composed = recover_constant(zeros, lambda z: _circle_value(outer, _circle_value(inner, z)))
     return BlaschkeProduct(composed, tuple(zeros))
 
 

@@ -101,6 +101,22 @@ def test_construct_and_verify(capsys, tmp_path):
     assert out["max_residual"] <= 1e-5
 
 
+def test_construct_rejects_a_zero_constant(capsys):
+    assert run(["construct", "--alpha", "0.5,0", "--c", "0,0", "--degree", "3"]) == 2
+    assert "constant must be nonzero" in capsys.readouterr().err
+
+
+def test_verify_defaults_to_the_deciding_sample_count(capsys, tmp_path):
+    # degree + 1 extra points, 2n + 2 in all: enough to decide equality at
+    # any degree, where a fixed count is refused once the degree reaches it.
+    c, _ = solve_unimodular_c(0.3, 120)[0]
+    product = construct_invariant_product(MoebiusTransform(c, 0.3), 120)
+    path = tmp_path / "b120.json"
+    path.write_text(json.dumps(product_to_document(product)))
+    out = run_json(capsys, ["verify", "--product", str(path), "--moebius", f"{c.real!r},{c.imag!r},0.3,0"])
+    assert out["max_residual"] <= 1e-10
+
+
 def test_invariants_command(capsys, tmp_path):
     doc = {"constant": [1.0, 0.0], "zeros": [[0.0, 0.0]] * 4}
     path = tmp_path / "monomial.json"

@@ -22,6 +22,7 @@ from blaschke import (
     DomainError,
     MoebiusTransform,
     NonConvergence,
+    NormalizationError,
     blaschke_compose,
     blaschke_equal,
     blaschke_eval,
@@ -115,8 +116,8 @@ def test_compose_degree_law():
 
 
 def test_compose_high_degree_outer():
-    # The interior probe values of a degree-120 product are far below any
-    # fixed threshold; the constant is still recovered there.
+    # Inside the disk a degree-120 product is far below any fixed threshold;
+    # its constant is read on the unit circle, where |B| = 1 at every degree.
     rng = random.Random(5)
     for _ in range(3):
         outer = random_product(rng, 60)
@@ -229,6 +230,22 @@ def test_compose_reports_an_unfinished_solve(monkeypatch):
     inner = BlaschkeProduct(1.0, (0.3 + 0j, 0.2j, -0.4 + 0j))
     with pytest.raises(NonConvergence, match=r"residual .* of inner\(z\) = \(0\.5\+0j\)"):
         blaschke_compose(BlaschkeProduct(1.0, (0.5 + 0j,)), inner)
+
+
+def test_compose_rejects_a_duplicated_root(monkeypatch):
+    # A lost root that comes back as a copy of another leaves degree-n zeros
+    # that are not those of outer ∘ inner: the constants read at 1 and at i
+    # disagree.
+    solve = blaschke.products._disk_preimages
+
+    def duplicated(inner, b):
+        roots = solve(inner, b)
+        return roots[:-1] + roots[:1]
+
+    monkeypatch.setattr(blaschke.products, "_disk_preimages", duplicated)
+    inner = BlaschkeProduct(1.0, (0j, 0.4 - 0.3j, -0.5j))
+    with pytest.raises(NormalizationError):
+        blaschke_compose(BlaschkeProduct(1.0, (0j, 0.3 + 0.2j, -0.6 + 0j)), inner)
 
 
 def test_disk_preimages_match_the_expanded_polynomial():
