@@ -92,16 +92,30 @@ def _from_matrix(a: complex, b: complex, p: complex, q: complex) -> MoebiusTrans
     return MoebiusTransform(c / abs(c), alpha)
 
 
+def _times(x, y):
+    # Product of 2 x 2 matrices written (a, b, p, q), row by row; the entries
+    # are complex numbers or polynomials.
+    a1, b1, p1, q1 = x
+    a2, b2, p2, q2 = y
+    return a1 * a2 + b1 * p2, a1 * b2 + b1 * q2, p1 * a2 + q1 * p2, p1 * b2 + q1 * q2
+
+
+def _power(x, n, times, one):
+    # x to the n >= 0 under ``times`` by repeated squaring; no square is
+    # formed past the top bit of n.
+    result = one
+    while n:
+        if n & 1:
+            result = times(result, x)
+        n >>= 1
+        if n:
+            x = times(x, x)
+    return result
+
+
 def moebius_compose(outer: MoebiusTransform, inner: MoebiusTransform) -> MoebiusTransform:
     """The normalized form of ``outer ∘ inner``."""
-    a1, b1, p1, q1 = _matrix(outer)
-    a2, b2, p2, q2 = _matrix(inner)
-    return _from_matrix(
-        a1 * a2 + b1 * p2,
-        a1 * b2 + b1 * q2,
-        p1 * a2 + q1 * p2,
-        p1 * b2 + q1 * q2,
-    )
+    return _from_matrix(*_times(_matrix(outer), _matrix(inner)))
 
 
 def moebius_inverse(m: MoebiusTransform) -> MoebiusTransform:
@@ -113,14 +127,7 @@ def moebius_power(m: MoebiusTransform, n: int) -> MoebiusTransform:
     """The n-fold iterate of ``m`` (n >= 0) by repeated squaring."""
     if n < 0:
         raise ValueError("power must be nonnegative")
-    result = IDENTITY
-    base = m
-    while n:
-        if n & 1:
-            result = moebius_compose(result, base)
-        base = moebius_compose(base, base)
-        n >>= 1
-    return result
+    return _power(m, n, moebius_compose, IDENTITY)
 
 
 def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT_CLOSURE_TOL) -> OrbitReport:
@@ -217,29 +224,14 @@ def closure_polynomial(alpha: complex, n: int) -> ComplexPolynomial:
     alpha = require_finite(alpha)
     if n < 1:
         raise ValueError("need n >= 1")
-    one = ComplexPolynomial([1.0])
-    zero = ComplexPolynomial([0j])
+    one, zero = ComplexPolynomial([1.0]), ComplexPolynomial([0j])
     base = (
-        (ComplexPolynomial([0j, 1.0]), ComplexPolynomial([0j, -alpha])),
-        (ComplexPolynomial([-alpha.conjugate()]), one),
+        ComplexPolynomial([0j, 1.0]),
+        ComplexPolynomial([0j, -alpha]),
+        ComplexPolynomial([-alpha.conjugate()]),
+        one,
     )
-    result = ((one, zero), (zero, one))
-    k = n
-    power = base
-    while k:
-        if k & 1:
-            result = _pmat_mul(result, power)
-        power = _pmat_mul(power, power)
-        k >>= 1
-    return result[0][1]
-
-
-def _pmat_mul(x, y):
-    # Product of 2 x 2 matrices of polynomials, each a pair of rows.
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
+    return _power(base, n, _times, (one, zero, zero, one))[1]
 
 
 def solve_unimodular_c(

@@ -22,7 +22,7 @@ from blaschke import (
     solve_unimodular_c,
 )
 from blaschke.cli import product_from_document, product_to_document, run
-from conftest import random_product
+from conftest import multiset_close, random_product
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -340,6 +340,13 @@ def test_decompose_auto_rejects_trivial_split(capsys, tmp_path):
     assert json.loads(captured.err)["error"] == "DecompositionError"
 
 
+def test_decompose_paired_with_a1_index(capsys, poncelet_doc):
+    out = run_json(capsys, ["decompose", "--product", poncelet_doc, "--method", "paired", "--a1-index", "1"])
+    assert out["source"] == "paired"
+    assert multiset_close([complex(*z) for z in out["inner"]["zeros"]], [0, 2 / 3], 1e-12)
+    assert out["roundtrip_residual"] <= 1e-12
+
+
 def test_decompose_a1_index_needs_paired_method(capsys, degree6_doc):
     code = run(["decompose", "--product", degree6_doc, "--method", "auto", "--a1-index", "99"])
     captured = capsys.readouterr()
@@ -363,6 +370,20 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_verify_rejects_a_short_moebius_argument(capsys, poncelet_doc):
+    assert run(["verify", "--product", poncelet_doc, "--moebius", "1,0,0"]) == 2
+    assert "CRE,CIM,ARE,AIM" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc", [{"constant": [1.0, 0.0]}, {"constant": [1.0, 0.0], "zeros": [[0.0, 0.0], [1.5, 0.0]]}]
+)
+def test_malformed_product_document(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert_error_exit(capsys, ["preimages", "--product", str(path), "--lambda", "1,0"], "BadShape")
 
 
 def test_plot_svg_structure(capsys, poncelet_doc, tmp_path):
@@ -418,6 +439,13 @@ def test_plot_rejects_nonpositive_canvas(capsys, poncelet_doc, tmp_path, canvas)
     capsys.readouterr()
     assert code == 2
     assert not out_path.exists()
+
+
+def test_plot_to_stdout(capsys, poncelet_doc):
+    assert run(["plot", "--product", poncelet_doc, "--out", "-", "--canvas", "320"]) == 0
+    root = ET.fromstring(capsys.readouterr().out)
+    assert root.tag == f"{SVG_NS}svg"
+    assert root.get("width") == root.get("height") == "320"
 
 
 def test_plot_orbit_overlay(capsys, tmp_path):

@@ -739,6 +739,16 @@ def test_prime_degree_invariant_product_has_no_split(n):
         decompose_auto(b)
 
 
+def test_invariants_search_reports_every_subgroup_it_tried(monkeypatch):
+    # With no round trip good enough, the degree-6 orbit product fails at
+    # both proper subgroups of its order-6 group, and the error names each.
+    import blaschke.decompose
+
+    monkeypatch.setattr(blaschke.decompose, "ROUNDTRIP_TOL", 0.0)
+    with pytest.raises(DecompositionError, match=r"order 2: .*; order 3: "):
+        decompose_invariants_search(orbit_product(6))
+
+
 # Drifted products whose generator misses GROUP_MATCH_TOL on the unit circle:
 # its largest residual there is about 2.5e-7, 1.4e-7 and 3.3e-7.
 DRIFT_PAST_TOL = [(6, 1e-8), (12, 1e-9), (4, 3e-8)]

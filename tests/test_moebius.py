@@ -16,6 +16,7 @@ from blaschke import (
     DomainError,
     MoebiusTransform,
     NoSolution,
+    NormalizationError,
     closure_polynomial,
     moebius_compose,
     moebius_eval,
@@ -126,6 +127,22 @@ def test_compose_agrees_with_pointwise():
         for _ in range(5):
             z = random_interior(rng)
             assert abs(moebius_eval(comp, z) - moebius_eval(a, moebius_eval(b, z))) <= 1e-12
+
+
+def test_power_matches_iterated_composition_up_to_the_disk_edge():
+    # The iterates of a hyperbolic map run to the circle: 1 - |alpha| is
+    # 1.2e-10 at n = 8 and 6.2e-12 at n = 9, both inside the open disk, and
+    # below the 1e-12 margin at n = 10.  A square formed past the top bit of
+    # n would leave the disk from n = 8 on.
+    m = MoebiusTransform(1.0, 0.9)
+    iterate = IDENTITY
+    for n in range(1, 10):
+        iterate = moebius_compose(iterate, m)
+        power = moebius_power(m, n)
+        assert abs(power.c - iterate.c) <= 1e-12
+        assert abs(power.alpha - iterate.alpha) <= 1e-12
+    with pytest.raises(NormalizationError):
+        moebius_power(m, 10)
 
 
 def test_iterate_zero_degree5_orbit():
@@ -346,6 +363,11 @@ def test_solve_finds_every_primitive_constant(alpha, n):
     assert len(sols) == totient(n)
     phases = [cmath.phase(c) % (2 * math.pi) for c, _ in sols]
     assert phases == sorted(phases)
+
+
+def test_order_one_for_maps_within_tol_of_the_identity():
+    assert moebius_order(IDENTITY, 5) == 1
+    assert moebius_order(MoebiusTransform(1.0, 1e-9), 5, 1e-8) == 1
 
 
 def test_order_of_parabolic_map_is_none():

@@ -232,6 +232,29 @@ def test_compose_reports_an_unfinished_solve(monkeypatch):
         blaschke_compose(BlaschkeProduct(1.0, (0.5 + 0j,)), inner)
 
 
+def test_compose_nudges_a_start_point_on_an_inner_zero(monkeypatch):
+    # The first point of the start ring is an inner zero, where the Newton
+    # ratio divides by zero; the solve nudges it off and still converges.
+    ring = 0.6 * cmath.exp(1j * (2 * math.pi * 0.35 / 3 + 0.5))
+    solve, singular = blaschke.products._aberth, []
+
+    def watched(newton, *args):
+        def ratio(z):
+            try:
+                return newton(z)
+            except ZeroDivisionError:
+                singular.append(z)
+                raise
+
+        return solve(ratio, *args)
+
+    monkeypatch.setattr(blaschke.products, "_aberth", watched)
+    inner = BlaschkeProduct(1.0, (0j, ring, -0.3 + 0.2j))
+    outer = BlaschkeProduct(1.0, (0j, 0.4 - 0.1j))
+    assert circle_roundtrip(blaschke_compose(outer, inner), outer, inner) <= 1e-12
+    assert singular == [ring]
+
+
 def test_compose_rejects_a_duplicated_root(monkeypatch):
     # A lost root that comes back as a copy of another leaves degree-n zeros
     # that are not those of outer ∘ inner: the constants read at 1 and at i
@@ -452,6 +475,21 @@ def test_preimages_newton_cannot_cycle():
     lam = 0.20660 + 0.97843j
     lam /= abs(lam)
     assert_preimages(b, lam, blaschke_preimages(b, lam))
+
+
+def test_preimages_report_an_unfinished_walk(monkeypatch, tmp_path, capsys):
+    # Cut to one Newton step per solution, the boundary walk stops short.
+    import blaschke.cli
+
+    monkeypatch.setattr(blaschke.products, "PREIMAGE_MAX_STEPS", 1)
+    b = BlaschkeProduct(1.0, (0j, 0.5 + 0j, -0.3 + 0.4j, 0.2 - 0.6j, 0.7j))
+    with pytest.raises(NonConvergence, match=r"boundary phase error 9\.637e-02 .* exceeds 1\.000e-10"):
+        blaschke_preimages(b, 1j)
+    path = tmp_path / "b5.json"
+    path.write_text(json.dumps(blaschke.cli.product_to_document(b)))
+    assert blaschke.cli.run(["preimages", "--product", str(path), "--lambda", "0,1"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["error"] == "NonConvergence" and captured.out == ""
 
 
 def test_preimages_need_no_root_finder(monkeypatch):
