@@ -1,16 +1,18 @@
 """Command line front end with JSON input/output and an SVG plotter.
 
-Every subcommand maps onto one public library operation.  Domain errors and
-files that cannot be read or written are reported as a machine-readable
-``{"error", "detail"}`` object on stderr with exit code 1; argument parsing
-failures exit with code 2.  The module loads only what parsing needs; each
-handler imports the modules that it runs.
+Every subcommand maps onto one public library operation.  Domain errors,
+files that cannot be read or written and a standard output closed early by
+its reader are reported as a machine-readable ``{"error", "detail"}`` object
+on stderr with exit code 1; argument parsing failures exit with code 2.  The
+module loads only what parsing needs; each handler imports the modules that
+it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -140,7 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="max residual of B(M(z)) - B(z)")
     p.add_argument("--product", required=True, metavar="FILE")
     p.add_argument("--moebius", type=_moebius_arg, required=True, metavar="CRE,CIM,ARE,AIM")
-    p.add_argument("--samples", type=int, help="extra points on the circle (default: degree + 1)")
+    p.add_argument("--samples", type=int,
+                   help="points on the circle beyond degree + 1, at least the degree (default: the degree, "
+                        "so 2n + 1 points, which decide equality)")
 
     p = sub.add_parser("decompose", help="split a product into a composition")
     p.add_argument("--product", required=True, metavar="FILE")
@@ -203,9 +207,7 @@ def _cmd_invariants(args) -> Any:
 def _cmd_verify(args) -> Any:
     from .invariants import verify_invariance
 
-    product = _read_product(args.product)
-    samples = product.degree + 1 if args.samples is None else args.samples
-    return {"max_residual": verify_invariance(product, args.moebius, samples)}
+    return {"max_residual": verify_invariance(_read_product(args.product), args.moebius, args.samples)}
 
 
 def _cmd_decompose(args) -> Any:
@@ -308,18 +310,26 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         result = _HANDLERS[args.command](args)
+        if result is not None:
+            json.dump(result, sys.stdout, indent=2)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
     except (BlaschkeError, ValueError, OSError) as exc:
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1
-    if result is not None:
-        json.dump(result, sys.stdout, indent=2)
-        sys.stdout.write("\n")
     return 0
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Drop the output still buffered, or
+        # the flush at exit fails again and prints a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

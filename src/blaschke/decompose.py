@@ -37,11 +37,11 @@ from .errors import (
     Record,
 )
 from .invariants import InvariantGroup, find_invariant_group
-from .moebius import moebius_fixed_point_in_disk, moebius_power
+from .moebius import moebius_fixed_point_in_disk
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
-    _circle_points,
+    _circle_table,
     _circle_value,
     _phase_points,
     _values,
@@ -91,8 +91,7 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     taken by ``products._circle_value``.
     """
     return max(
-        abs(_circle_value(dec.outer, _circle_value(dec.inner, z)) - _circle_value(original, z))
-        for z in _circle_points(2 * original.degree + 1)
+        abs(_circle_value(dec.outer, _circle_value(dec.inner, z)) - value) for z, value in _circle_table(original)
     )
 
 
@@ -106,9 +105,7 @@ def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
     return clusters
 
 
-def _fiber_split(
-    product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
-) -> Decomposition:
+def _outer_from_fibers(product: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
     # The mean of each fiber's images, summed in index order, is an outer zero.
     d = inner.degree
     images = _values(inner, product.zeros)
@@ -117,7 +114,13 @@ def _fiber_split(
         constant = recover_constant(outer_zeros, lambda z: _circle_value(product, z), inner)
     except NormalizationError as exc:
         raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
-    dec = Decomposition(inner, BlaschkeProduct(constant, tuple(outer_zeros)), source)
+    return BlaschkeProduct(constant, tuple(outer_zeros))
+
+
+def _fiber_split(
+    product: BlaschkeProduct, inner: BlaschkeProduct, source: DecompositionSource
+) -> Decomposition:
+    dec = Decomposition(inner, _outer_from_fibers(product, inner), source)
     residual = roundtrip_residual(dec, product)
     if not residual <= ROUNDTRIP_TOL:
         raise DecompositionError(f"outer(inner(z)) is {residual:.3e} off B, over {ROUNDTRIP_TOL}")
@@ -159,24 +162,40 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
     the fiber ends at the largest ratio of the (jd + 1)-th value to the
     (jd)-th, j = 1, ..., m.  The first of each cluster of k but the one
     nearest 0 are D's other zeros, origin zeros included (as for z^n).
-    Whether B factors through the result is left to the fiber split.
+    When the ratio at j = m, against |R(0)| = 1 itself, is the largest, k = m
+    is kept only if the outer constant it gives reads the same at 1 and at
+    i, and otherwise the best j < m is taken: with every zero near 0, the
+    zeros outside the fiber can sit nearer R(0) than rounding leaves the
+    fiber.  Whether B factors through the result is left to the fiber split.
     """
     zeros, n = product.zeros, product.degree
     m = n // d
     if m == 1:
         picks = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
-    else:
-        pts = _phase_points(product, 1.0, [i for i in range(n) if i % m < 2])
-        r0, *r = [math.prod((z - p) / (z - q) for p, q in zip(pts[0::2], pts[1::2])) for z in (0j, *zeros)]
-        order = sorted((max(abs(ri - r0), math.ulp(1.0) * n * abs(r0)), i) for i, ri in enumerate(r))
-        dist = [g for g, _ in order] + [abs(r0)]
-        k = max(range(1, m + 1), key=lambda j: dist[j * d] / dist[j * d - 1])
+        if len(picks) != d - 1:
+            raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} other zero(s) of B")
+        return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in picks))
+    pts = _phase_points(product, 1.0, [i for i in range(n) if i % m < 2])
+    r0, *r = [math.prod((z - p) / (z - q) for p, q in zip(pts[0::2], pts[1::2])) for z in (0j, *zeros)]
+    order = sorted((max(abs(ri - r0), math.ulp(1.0) * n * abs(r0)), i) for i, ri in enumerate(r))
+    dist = [g for g, _ in order] + [abs(r0)]
+
+    def inner(k: int) -> BlaschkeProduct:
         fiber = sorted(i for _, i in order[: k * d])
         firsts = [fiber[c[0]] for c in _clusters([zeros[i] for i in fiber], k)]
         picks = sorted(firsts, key=lambda i: abs(zeros[i]))[1:]
-    if len(picks) != d - 1:
-        raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} other zero(s) of B")
-    return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
+        return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
+
+    step = {j: dist[j * d] / dist[j * d - 1] for j in range(1, m + 1)}
+    best = max(range(1, m), key=step.__getitem__)
+    if step[m] <= step[best]:
+        return inner(best)
+    whole = inner(m)
+    try:
+        _outer_from_fibers(product, whole)
+    except ConditionsUnsatisfied:
+        return inner(best)
+    return whole
 
 
 def _split_through_degree(product: BlaschkeProduct, d: int, source: DecompositionSource) -> Decomposition:
@@ -186,6 +205,13 @@ def _split_through_degree(product: BlaschkeProduct, d: int, source: Decompositio
         raise ConditionsUnsatisfied(
             f"no inner factor of degree {d} has all zeros in its fibers: {exc}"
         ) from exc
+
+
+def _fixed_point_inner(gamma: complex | None, k: int) -> BlaschkeProduct:
+    """``((z - gamma) / (1 - conj(gamma) z))^k`` at the interior fixed point of a group's generator."""
+    if gamma is None:
+        raise NoInteriorFixedPoint("generator has no fixed point inside the open disk")
+    return BlaschkeProduct(1.0, (gamma,) * k)
 
 
 def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) -> Decomposition:
@@ -200,10 +226,7 @@ def decompose_via_invariants(product: BlaschkeProduct, group: InvariantGroup) ->
     n = product.degree
     if n % k != 0:
         raise BadShape(f"group order {k} does not divide degree {n}")
-    gamma = moebius_fixed_point_in_disk(group.generator)
-    if gamma is None:
-        raise NoInteriorFixedPoint("generator has no fixed point inside the open disk")
-    inner = BlaschkeProduct(1.0, (gamma,) * k)
+    inner = _fixed_point_inner(moebius_fixed_point_in_disk(group.generator), k)
     return _fiber_split(product, inner, DecompositionSource.INVARIANT_GROUP)
 
 
@@ -291,18 +314,18 @@ def decompose_invariants_search(product: BlaschkeProduct) -> Decomposition:
 
     The invariant group (a tuple of at most one, from
     :func:`find_invariant_group`) is tried through its subgroups of order d,
-    with d ascending.  The subgroup of the full degree is skipped: it only
-    gives the trivial split with an outer factor of degree 1.
+    with d ascending, through ``((z - g) / (1 - conj(g) z))^d`` at the
+    generator's interior fixed point g, which each of its powers fixes.  The
+    subgroup of the full degree is skipped: it only gives the trivial split.
     """
     failures: list[str] = []
     for group in find_invariant_group(product):
+        gamma = moebius_fixed_point_in_disk(group.generator)
         for d in range(2, group.order + 1):
             if group.order % d or d == product.degree:
                 continue
-            element = moebius_power(group.generator, group.order // d)
             try:
-                subgroup = InvariantGroup(element, d, group.identity_tol)
-                return decompose_via_invariants(product, subgroup)
+                return _fiber_split(product, _fixed_point_inner(gamma, d), DecompositionSource.INVARIANT_GROUP)
             except BlaschkeError as exc:
                 failures.append(f"order {d}: {exc}")
     raise DecompositionError(

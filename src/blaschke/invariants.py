@@ -23,7 +23,7 @@ from .moebius import (
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_points, _circle_value, is_canonical
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_table, _circle_value, is_canonical
 
 
 class InvariantGroup(Record):
@@ -73,34 +73,30 @@ def construct_invariant_product(
     return BlaschkeProduct(1.0, orbit.points)
 
 
-def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: int) -> float:
+def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: int | None = None) -> float:
     """Max of ``|B(M(z)) - B(z)|`` over ``degree + 1 + samples`` points of the circle.
 
     B ∘ M - B is analytic on the closed disk, so by the maximum modulus
     principle its largest value is taken on the unit circle, where |B| = 1
     at every degree; the points are equally spaced there.  Both sides are
     degree-n products, which agree everywhere once they agree at 2n + 1
-    points of the circle, so ``samples >= degree + 1`` decides equality.
-    There B(z) = c P(z) / (z^n conj(P(z))) with P(z) = prod (z - a), one
-    multiply per zero, and M maps the circle to itself, so B(M(z)) is taken
-    the same way.  :func:`find_invariant_group` checks the same residuals on
-    the same points, with B evaluated there once per search.
+    points of the circle, so ``samples >= degree`` decides equality.  The
+    default, ``samples = degree``, reads those 2n + 1 points, the table that
+    :func:`find_invariant_group` checks.  M maps the circle to itself, so
+    B(M(z)) is taken there as B(z) is, one multiply per zero.
     """
-    if samples < product.degree + 1:
-        raise ValueError("need at least degree + 1 samples")
-    return max(_residuals(product, m, _oracle(product, samples)))
-
-
-def _oracle(product: BlaschkeProduct, samples: int) -> list[tuple[complex, complex]]:
-    """The ``degree + 1 + samples`` circle points z, each paired with B(z)."""
-    return [(z, _circle_value(product, z)) for z in _circle_points(product.degree + 1 + samples)]
+    n = product.degree
+    samples = n if samples is None else samples
+    if samples < n:
+        raise ValueError(f"need at least degree = {n} samples, got {samples}")
+    return max(_residuals(product, m, _circle_table(product, n + 1 + samples)))
 
 
 def _residuals(
-    product: BlaschkeProduct, m: MoebiusTransform, oracle: list[tuple[complex, complex]]
+    product: BlaschkeProduct, m: MoebiusTransform, table: list[tuple[complex, complex]]
 ) -> Iterator[float]:
     c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
-    return (abs(_circle_value(product, c * (z - alpha) / (1.0 - alphac * z)) - bz) for z, bz in oracle)
+    return (abs(_circle_value(product, c * (z - alpha) / (1.0 - alphac * z)) - bz) for z, bz in table)
 
 
 def _rotation_candidates(k: int) -> list[MoebiusTransform]:
@@ -130,9 +126,9 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     root of unity when 0 is a zero of multiplicity k.
 
     Candidates are ranked by order (largest first), then by the phases of c
-    and alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at every point of
-    the circle set that ``verify_invariance(product, M, degree + 1)`` uses,
-    checked in one pass that stops at the first miss.  On the circle |B| = 1
+    and alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at the 2n + 1
+    circle points that decide equality, as ``verify_invariance(product, M)``
+    does, in one pass that stops at the first miss.  On the circle |B| = 1
     at every degree, so a map that (nearly) permutes the zeros without
     being invariant leaves a residual there that the small values |B| takes
     inside the disk at high degree cannot hide.  B is evaluated at the
@@ -161,9 +157,9 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
             cmath.phase(item[1].alpha) % (2 * math.pi),
         ),
     )
-    oracle = _oracle(product, n + 1)
+    table = _circle_table(product)
     for order, cand in ranked:
-        if any(r > tol for r in _residuals(product, cand, oracle)):
+        if any(r > tol for r in _residuals(product, cand, table)):
             continue
         if order is None or n % order:
             warnings.warn(

@@ -109,22 +109,23 @@ def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
     return product.constant * p / (z ** n * p.conjugate())
 
 
-def _circle_points(count: int) -> list[complex]:
-    """``count`` equally spaced points of the unit circle, starting at 1."""
-    return [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+def _circle_table(product: BlaschkeProduct, count: Optional[int] = None) -> list[tuple[complex, complex]]:
+    """The pairs (z, B(z)) at ``count`` equally spaced points z of the unit circle, starting at 1.
+
+    By default count is 2n + 1 for degree n.  On the circle |B| = 1 and
+    B = 1/conj(B), so two degree-n products agree where P_a Q_b - P_b Q_a,
+    of degree at most 2n, vanishes: 2n + 1 points decide their equality.
+    B is taken by :func:`_circle_value`.
+    """
+    count = 2 * product.degree + 1 if count is None else count
+    return [(z, _circle_value(product, z)) for z in (cmath.exp(2j * math.pi * k / count) for k in range(count))]
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:
-    """Pointwise equality oracle at 2n + 1 points of the unit circle.
-
-    There |B| = 1 at every degree, and B = 1/conj(B), so degree-n products
-    agree where P_a Q_b - P_b Q_a, of degree at most 2n, vanishes.  B is
-    evaluated there as c P(z) / (z^n conj(P(z))), P(z) = prod (z - a), one
-    multiply per zero (:func:`_circle_value`).
-    """
+    """Pointwise equality oracle at the 2n + 1 unit-circle points that decide it (:func:`_circle_table`)."""
     if a.degree != b.degree:
         return False
-    return all(abs(_circle_value(a, z) - _circle_value(b, z)) <= tol for z in _circle_points(2 * a.degree + 1))
+    return all(abs(_circle_value(b, z) - value) <= tol for z, value in _circle_table(a))
 
 
 def recover_constant(

@@ -6,8 +6,12 @@ import cmath
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -107,14 +111,29 @@ def test_construct_rejects_a_zero_constant(capsys):
 
 
 def test_verify_defaults_to_the_deciding_sample_count(capsys, tmp_path):
-    # degree + 1 extra points, 2n + 2 in all: enough to decide equality at
-    # any degree, where a fixed count is refused once the degree reaches it.
+    # degree extra points, 2n + 1 in all: enough to decide equality at any
+    # degree, where a fixed count is refused once the degree exceeds it.
     c, _ = solve_unimodular_c(0.3, 120)[0]
     product = construct_invariant_product(MoebiusTransform(c, 0.3), 120)
     path = tmp_path / "b120.json"
     path.write_text(json.dumps(product_to_document(product)))
     out = run_json(capsys, ["verify", "--product", str(path), "--moebius", f"{c.real!r},{c.imag!r},0.3,0"])
     assert out["max_residual"] <= 1e-10
+
+
+def test_a_reader_that_closes_early_gets_the_json_error():
+    # 300 orbits of 300 points fill the pipe long before the reader, which
+    # takes 10 bytes and closes it, so the write fails with EPIPE.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "blaschke.cli", "solve-c", "--alpha", "0.5,0", "--degree", "300"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "BrokenPipeError"
 
 
 def test_invariants_command(capsys, tmp_path):

@@ -793,6 +793,37 @@ def test_drifted_degree6_product_has_one_group():
     assert roundtrip_residual(dec, b) <= 1e-7
 
 
+# solve_unimodular_c(ALPHA_49, 49)[18][0]: all 49 zeros of its orbit product
+# lie within 0.19 of 0, so the zeros outside the inner factor's zero fiber
+# sit nearer R(0) (5.3e-8) than the fiber's own ratio can outrank.
+ALPHA_49 = -0.18605308973621845 + 0.009216523656818045j
+C_49 = -0.9508235480725142 + 0.30973307932927535j
+
+
+def test_auto_splits_an_orbit_product_with_every_zero_near_0():
+    b = construct_invariant_product(MoebiusTransform(C_49, ALPHA_49), 49)
+    assert max(abs(z) for z in b.zeros) < 0.19
+    for split in (decompose_auto, decompose_invariants_search):
+        dec = split(b)
+        assert (dec.inner.degree, dec.outer.degree) == (7, 7)
+        assert roundtrip_residual(dec, b) <= ROUNDTRIP_TOL
+
+
+@pytest.mark.parametrize("n", [20, 28, 36, 45, 49, 63, 77, 91, 100])
+def test_orbit_products_split_at_degree(n):
+    # Small |alpha| puts every zero near 0, where the ratio against |R(0)|
+    # can outrank the end of the inner factor's zero fiber.
+    rng = random.Random(4100 + n)
+    for _ in range(12):
+        alpha = cmath.rect(rng.uniform(0.1, 0.2), rng.uniform(-math.pi, math.pi))
+        constants = solve_unimodular_c(alpha, n)
+        c = constants[rng.randrange(len(constants))][0]
+        b = construct_invariant_product(MoebiusTransform(c, alpha), n)
+        assert [group.order for group in find_invariant_group(b)] == [n]
+        for split in (decompose_auto, decompose_invariants_search):
+            assert roundtrip_residual(split(b), b) <= ROUNDTRIP_TOL
+
+
 def test_auto_rejects_trivial_splits():
     degree2 = BlaschkeProduct(1.0, (0j, 0.3 + 0.1j))
     degree3 = BlaschkeProduct(1.0, (0j, 0.3 + 0.1j, -0.2 + 0.4j))

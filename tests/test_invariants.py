@@ -183,6 +183,16 @@ def test_verify_invariance_needs_enough_samples():
         verify_invariance(b, MoebiusTransform(1j, 0.0), 1)
 
 
+def test_verify_invariance_defaults_to_the_deciding_points():
+    # samples = degree reads the 2n + 1 circle points that decide equality,
+    # the table the search checks; one sample fewer is refused.
+    m, _ = reference_solution(0.5, 7, DEGREE7_C)
+    b = construct_invariant_product(m, 7)
+    assert verify_invariance(b, m) == verify_invariance(b, m, 7) <= 1e-6
+    with pytest.raises(ValueError):
+        verify_invariance(b, m, 6)
+
+
 def test_verify_invariance_deterministic():
     b = BlaschkeProduct(1.0, (0j, 0.4, 0.2j))
     m = MoebiusTransform(-1.0, 0.3)
@@ -398,13 +408,13 @@ def sign_flipping_product():
 
 def test_search_builds_the_oracle_once(monkeypatch):
     calls = []
-    circle_points = invariants._circle_points
+    circle_table = invariants._circle_table
 
     def counted(*args):
         calls.append(args)
-        return circle_points(*args)
+        return circle_table(*args)
 
-    monkeypatch.setattr(invariants, "_circle_points", counted)
+    monkeypatch.setattr(invariants, "_circle_table", counted)
     c, _ = solve_unimodular_c(0.4, 20)[0]
     b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
     assert find_invariant_group(b)[0].order == 20
