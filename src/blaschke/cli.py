@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -77,14 +78,17 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _unit(c: complex) -> complex:
+def _unit(c: complex, text: str) -> complex:
+    # The constant parsed from ``text``, projected onto the circle.
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise argparse.ArgumentTypeError(f"constant must be finite but got {text!r}")
     if c == 0:
         raise argparse.ArgumentTypeError("constant must be nonzero")
     return c / abs(c)
 
 
 def _unit_arg(text: str) -> complex:
-    return _unit(_complex_arg(text))
+    return _unit(_complex_arg(text), text)
 
 
 def _moebius_arg(text: str) -> MoebiusTransform:
@@ -92,7 +96,7 @@ def _moebius_arg(text: str) -> MoebiusTransform:
         cre, cim, are, aim = (float(x) for x in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected CRE,CIM,ARE,AIM but got {text!r}") from exc
-    return MoebiusTransform(_unit(complex(cre, cim)), complex(are, aim))
+    return MoebiusTransform(_unit(complex(cre, cim), text), complex(are, aim))
 
 
 def _read_document(path: str) -> Any:

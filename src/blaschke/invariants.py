@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Sequence
 
 from .errors import BadShape, OrbitDegenerate, OrbitNotClosed, Record
 from .moebius import (
@@ -20,10 +20,11 @@ from .moebius import (
     ORBIT_CLOSURE_TOL,
     ORBIT_DISTINCT_TOL,
     MoebiusTransform,
+    _order,
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_table, _circle_value, is_canonical
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_table, _circle_values, is_canonical
 
 
 class InvariantGroup(Record):
@@ -89,29 +90,32 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     samples = n if samples is None else samples
     if samples < n:
         raise ValueError(f"need at least degree = {n} samples, got {samples}")
-    return max(_residuals(product, m, _circle_table(product, n + 1 + samples)))
+    return max(_residuals(product, m.c, m.alpha, _circle_table(product, n + 1 + samples)))
 
 
 def _residuals(
-    product: BlaschkeProduct, m: MoebiusTransform, table: list[tuple[complex, complex]]
-) -> Iterator[float]:
-    c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
-    return (abs(_circle_value(product, c * (z - alpha) / (1.0 - alphac * z)) - bz) for z, bz in table)
+    product: BlaschkeProduct, c: complex, alpha: complex, table: Sequence[tuple[complex, complex]]
+) -> list[float]:
+    # |B(M(z)) - B(z)| over the table, M with parameters c and alpha; M maps
+    # the circle to itself, so B(M(z)) is taken in one batch there.
+    alphac = alpha.conjugate()
+    images = _circle_values(product, [c * (z - alpha) / (1.0 - alphac * z) for z, _ in table])
+    return [abs(bw - bz) for bw, (_, bz) in zip(images, table)]
 
 
-def _rotation_candidates(k: int) -> list[MoebiusTransform]:
-    """The rotations by the k-th roots of unity other than 1."""
-    return [MoebiusTransform(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
+def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[tuple[complex, complex]]:
+    """Distinct candidate invariants read off the zero set of ``product``, as pairs (c, alpha).
 
-
-def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[MoebiusTransform]:
-    """Distinct candidate invariants read off the zero set of ``product``."""
+    Each pair is a valid map: c is unimodular by construction and alpha is
+    a zero of the product.
+    """
     nonzero = [(z, abs(z)) for z in product.zeros if abs(z) > ORIGIN_ZERO_TOL]
-    pairs = [(aj, al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
-    candidates = [MoebiusTransform(-aj / al / abs(aj / al), al) for aj, al in pairs]
+    candidates = [(-aj / al / abs(aj / al), al) for aj, rj in nonzero for al, rl in nonzero if abs(rj - rl) <= tol]
     # A rotation fixes 0, which the pole-at-a-zero form cannot express.  With
-    # B(z) = z^k g(z) and g(0) != 0, B(wz) = B(z) forces w^k = 1 at z = 0.
-    candidates += _rotation_candidates(product.degree - len(nonzero))
+    # B(z) = z^k g(z) and g(0) != 0, B(wz) = B(z) forces w^k = 1 at z = 0:
+    # the rotations by the k-th roots of unity other than 1.
+    k = product.degree - len(nonzero)
+    candidates += [(cmath.exp(2j * math.pi * j / k), 0j) for j in range(1, k)]
     # Equal zeros give equal candidates; the first of each is kept, in order.
     return list(dict.fromkeys(candidates))
 
@@ -128,16 +132,19 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     Candidates are ranked by order (largest first), then by the phases of c
     and alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at the 2n + 1
     circle points that decide equality, as ``verify_invariance(product, M)``
-    does, in one pass that stops at the first miss.  On the circle |B| = 1
-    at every degree, so a map that (nearly) permutes the zeros without
-    being invariant leaves a residual there that the small values |B| takes
-    inside the disk at high degree cannot hide.  B is evaluated at the
-    circle points once per search, as c P(z) / (z^n conj(P(z))) with
-    P(z) = prod (z - a), one multiply per zero.  The first candidate that
-    passes, with an order dividing the degree, generates the group: the
+    does: at the first point alone, then at the rest in one batch.  On the
+    circle |B| = 1 at every degree, so a map that (nearly) permutes the
+    zeros without being invariant leaves a residual there that the small
+    values |B| takes inside the disk at high degree cannot hide.  B's values
+    at the circle points are taken once per product, shared with the round
+    trip of a split (``products._circle_table``), as c P(z) / (z^n conj(P(z)))
+    with P(z) = prod (z - a), one multiply per zero.  The first candidate
+    that passes, with an order dividing the degree, generates the group: the
     invariants of a finite Blaschke product form a finite, hence cyclic,
     subgroup of the disk automorphisms, so every other invariant is one of
-    its powers.
+    its powers.  Candidates are ranked and vetted as raw (c, alpha) pairs;
+    a :class:`MoebiusTransform` is built only for the generator and for a
+    candidate reported by a warning.
     """
     if not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
@@ -147,25 +154,25 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     if n < 2:
         raise BadShape("invariant search requires degree >= 2")
 
-    identity_tol = max(IDENTITY_TOL, tol)
+    identity_tol, turn = max(IDENTITY_TOL, tol), 2 * math.pi
     ranked = sorted(
-        ((moebius_order(cand, n, identity_tol), cand) for cand in _unique_candidates(product, tol)),
+        ((_order(c, alpha, n, identity_tol), c, alpha) for c, alpha in _unique_candidates(product, tol)),
         key=lambda item: (
-            item[0] is None,
-            -(item[0] or 0),
-            cmath.phase(item[1].c) % (2 * math.pi),
-            cmath.phase(item[1].alpha) % (2 * math.pi),
+            item[0] is None, -(item[0] or 0), cmath.phase(item[1]) % turn, cmath.phase(item[2]) % turn
         ),
     )
     table = _circle_table(product)
-    for order, cand in ranked:
-        if any(r > tol for r in _residuals(product, cand, table)):
+    first, rest = table[:1], table[1:]
+    for order, c, alpha in ranked:
+        if _residuals(product, c, alpha, first)[0] > tol:
+            continue
+        if any(r > tol for r in _residuals(product, c, alpha, rest)):
             continue
         if order is None or n % order:
+            cand = MoebiusTransform(c, alpha)
             warnings.warn(
-                f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}",
-                stacklevel=2,
+                f"invariant candidate {cand!r} has order {order!r} inconsistent with degree {n}", stacklevel=2
             )
             continue
-        return (InvariantGroup(cand, order, identity_tol),)
+        return (InvariantGroup(MoebiusTransform(c, alpha), order, identity_tol),)
     return ()

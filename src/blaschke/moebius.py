@@ -134,7 +134,7 @@ def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT
     """Orbit report for ``0, M(0), ..., M^{n-1}(0)`` by pointwise iteration."""
     if n < 1:
         raise ValueError("need at least one orbit point")
-    points, closes = _orbit_of_zero(m, n, closure_tol)
+    points, closes = _orbit_of_zero(m.c, m.alpha, n, closure_tol)
     if n == 1:
         gap = math.inf
     else:
@@ -142,9 +142,10 @@ def moebius_iterate_zero(m: MoebiusTransform, n: int, closure_tol: float = ORBIT
     return OrbitReport(points, closes, gap)
 
 
-def _orbit_of_zero(m: MoebiusTransform, n: int, closure_tol: float) -> tuple[tuple[complex, ...], bool]:
-    # moebius_eval's arithmetic without its checks: M maps the disk to itself.
-    c, alpha, alphac = m.c, m.alpha, m.alpha.conjugate()
+def _orbit_of_zero(c: complex, alpha: complex, n: int, closure_tol: float) -> tuple[tuple[complex, ...], bool]:
+    # moebius_eval's arithmetic without its checks, for the map with
+    # parameters c and alpha: it maps the disk to itself.
+    alphac = alpha.conjugate()
     points = [0j]
     for _ in range(n):
         z = points[-1]
@@ -168,15 +169,21 @@ def moebius_order(m: MoebiusTransform, cap: int, tol: float = IDENTITY_TOL) -> O
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    if max(abs(m.c - 1.0), abs(m.alpha)) <= tol:
+    return _order(m.c, m.alpha, cap, tol)
+
+
+def _order(c: complex, alpha: complex, cap: int, tol: float) -> Optional[int]:
+    # moebius_order on the raw parameters of a valid map, cap >= 1.
+    if max(abs(c - 1.0), abs(alpha)) <= tol:
         return 1
-    r = abs(m.alpha)
-    x = abs(1.0 + m.c) / (2.0 * math.sqrt((1.0 - r) * (1.0 + r)))
+    r = abs(alpha)
+    x = abs(1.0 + c) / (2.0 * math.sqrt((1.0 - r) * (1.0 + r)))
     if x >= 1.0:
         return None
-    turns = math.acos(x) / math.pi
+    turns, turn = math.acos(x) / math.pi, 2 * math.pi
     for k in range(2, cap + 1):
-        if 2 * math.pi * abs(k * turns - round(k * turns)) <= tol:
+        kt = k * turns
+        if turn * abs(kt - round(kt)) <= tol:
             return k
     return None
 
@@ -270,7 +277,7 @@ def solve_unimodular_c(
         if g > 1 and tol > 0:
             continue
         c = cmath.exp(2j * math.acos(scale * math.cos(math.pi * k / n)))
-        points, closes = _orbit_of_zero(MoebiusTransform(c, alpha), n, ORBIT_CLOSURE_TOL)
+        points, closes = _orbit_of_zero(c, alpha, n, ORBIT_CLOSURE_TOL)
         step = pow(k, -1, n) if g == 1 else n // g
         gap = min(abs(points[j] - points[(j + step) % n]) for j in range(n))
         if closes and gap >= tol:

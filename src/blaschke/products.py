@@ -8,6 +8,7 @@ does not import ``numerics``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from typing import Callable, Iterable, Optional, Sequence
@@ -29,6 +30,8 @@ PREIMAGE_PHASE_TOL = 1e-10
 # Phi' <= 2 sum 1/|z - a|.  With every zero at least d from z the allowance
 # is at most 7.1e-15 n / d, so it matters only for zeros near the circle.
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
+# Circle tables (:func:`_circle_table`) kept at a time.
+CIRCLE_TABLES = 16
 # Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
 
@@ -48,7 +51,10 @@ class BlaschkeProduct(Record):
         constant = require_finite(constant)
         if abs(abs(constant) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"|constant| = {abs(constant)!r} is not within {UNIT_MODULUS_TOL} of 1")
-        zeros = tuple(require_finite(z) for z in zeros)
+        # A tuple built from a list comes from the tuple free list of its
+        # size.  One built from a generator is resized into place, and when
+        # freed it joins that free list, which grows until a full collection.
+        zeros = tuple([require_finite(z) for z in zeros])
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
         for z in zeros:
@@ -91,41 +97,70 @@ def _values(product: BlaschkeProduct, points: Iterable[complex]) -> list[complex
     return values
 
 
-def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
-    """B at a point z of the unit circle: c P(z) / (z^n conj(P(z))) with P = prod (z - a).
+def _circle_values(product: BlaschkeProduct, points: Iterable[complex]) -> list[complex]:
+    """B at each of ``points``, on the unit circle: c P(z) / (z^n conj(P(z))) with P = prod (z - a).
 
     On the circle 1 - conj(a) z = z conj(z - a), so one multiply per zero
     replaces a quotient (Garcia, Mashreghi and Ross, 2018).  Each |z - a| < 2,
     so if a partial product of P fell below the normal float range, where it
-    loses digits, then |P| < 2^(n + 1) times the least normal float.  There,
-    and where |P| could overflow, the quotient form of :func:`_values` is used.
+    loses digits, then |P| < 2^(n + 1) times the least normal float.  At
+    those points, and where |P| could overflow, the quotient form of
+    :func:`_values` is used.
     """
-    p = 1.0 + 0j
-    for a in product.zeros:
-        p *= z - a
-    n, size, tiny = len(product.zeros), abs(p), sys.float_info.min
-    if not (tiny <= size * 0.5 ** (n + 1) and size <= 1.0 / tiny):
-        return _values(product, (z,))[0]
-    return product.constant * p / (z ** n * p.conjugate())
+    c, zeros = product.constant, product.zeros
+    n, tiny = len(zeros), sys.float_info.min
+    scale, huge = 0.5 ** (n + 1), 1.0 / tiny
+    values, fallback = [], []
+    for z in points:
+        p = 1.0 + 0j
+        for a in zeros:
+            p *= z - a
+        size = abs(p)
+        if tiny <= size * scale and size <= huge:
+            values.append(c * p / (z ** n * p.conjugate()))
+        else:
+            # z holds the place until the quotient form below replaces it.
+            fallback.append(len(values))
+            values.append(z)
+    if fallback:
+        for i, value in zip(fallback, _values(product, [values[i] for i in fallback])):
+            values[i] = value
+    return values
 
 
-def _circle_table(product: BlaschkeProduct, count: Optional[int] = None) -> list[tuple[complex, complex]]:
+def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
+    """B at one point z of the unit circle, by :func:`_circle_values`."""
+    return _circle_values(product, (z,))[0]
+
+
+def _circle_table(product: BlaschkeProduct, count: Optional[int] = None) -> tuple[tuple[complex, complex], ...]:
     """The pairs (z, B(z)) at ``count`` equally spaced points z of the unit circle, starting at 1.
 
     By default count is 2n + 1 for degree n.  On the circle |B| = 1 and
     B = 1/conj(B), so two degree-n products agree where P_a Q_b - P_b Q_a,
     of degree at most 2n, vanishes: 2n + 1 points decide their equality.
-    B is taken by :func:`_circle_value`.
+    B is taken by :func:`_circle_values` in one batch.  The table is kept
+    per product: the last ``CIRCLE_TABLES`` (product, count) pairs are
+    memoised, so the invariant search and the round trip of a split on the
+    same product, or on an equal one, build it once.
     """
-    count = 2 * product.degree + 1 if count is None else count
-    return [(z, _circle_value(product, z)) for z in (cmath.exp(2j * math.pi * k / count) for k in range(count))]
+    return _cached_table(product, 2 * product.degree + 1 if count is None else count)
+
+
+@functools.lru_cache(maxsize=CIRCLE_TABLES)
+def _cached_table(product: BlaschkeProduct, count: int) -> tuple[tuple[complex, complex], ...]:
+    points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+    # From a list, as the zeros in BlaschkeProduct.__init__.
+    return tuple(list(zip(points, _circle_values(product, points))))
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:
     """Pointwise equality oracle at the 2n + 1 unit-circle points that decide it (:func:`_circle_table`)."""
     if a.degree != b.degree:
         return False
-    return all(abs(_circle_value(b, z) - value) <= tol for z, value in _circle_table(a))
+    table = _circle_table(a)
+    values = _circle_values(b, [z for z, _ in table])
+    return all(abs(vb - va) <= tol for vb, (_, va) in zip(values, table))
 
 
 def recover_constant(

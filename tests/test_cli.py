@@ -110,6 +110,15 @@ def test_construct_rejects_a_zero_constant(capsys):
     assert "constant must be nonzero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["inf,0", "nan,0", "0,-inf"])
+def test_a_non_finite_constant_is_a_usage_error(capsys, poncelet_doc, text):
+    assert run(["construct", "--alpha", "0.5,0", "--c", text, "--degree", "3"]) == 2
+    assert f"constant must be finite but got '{text}'" in capsys.readouterr().err
+    moebius = f"{text},0.5,0"
+    assert run(["verify", "--product", poncelet_doc, "--moebius", moebius]) == 2
+    assert f"constant must be finite but got '{moebius}'" in capsys.readouterr().err
+
+
 def test_verify_defaults_to_the_deciding_sample_count(capsys, tmp_path):
     # degree extra points, 2n + 1 in all: enough to decide equality at any
     # degree, where a fixed count is refused once the degree exceeds it.

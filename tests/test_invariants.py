@@ -253,7 +253,8 @@ def vet_every_candidate(product, tol=GROUP_MATCH_TOL):
     n = product.degree
     identity_tol = max(IDENTITY_TOL, tol)
     accepted = []
-    for cand in invariants._unique_candidates(product, tol):
+    for c, alpha in invariants._unique_candidates(product, tol):
+        cand = MoebiusTransform(c, alpha)
         if verify_invariance(product, cand, n + 1) > tol:
             continue
         order = moebius_order(cand, n, identity_tol)
@@ -345,7 +346,7 @@ def test_exact_dedupe_keeps_the_merged_candidates_in_order():
     # Zeros equal only up to rounding (orbits that revisit points) leave
     # near-equal candidates, which the 1e-9 merge would have folded.
     for b in [*orbit_products(), *structured_products(), *random_origin_products()]:
-        exact = invariants._unique_candidates(b, GROUP_MATCH_TOL)
+        exact = [MoebiusTransform(c, alpha) for c, alpha in invariants._unique_candidates(b, GROUP_MATCH_TOL)]
         assert len(set(exact)) == len(exact)
         assert merge_close(exact) == merged_candidates(b, GROUP_MATCH_TOL), f"zeros {b.zeros}"
 
@@ -368,7 +369,8 @@ def test_every_invariant_is_a_power_of_the_generator():
     drifted = [drifted_orbit_product(n, drift) for n, drift in DRIFT_CASES]
     for b in [*orbit_products(), *structured_products(), *drifted]:
         groups = find_invariant_group(b)
-        for cand in invariants._unique_candidates(b, GROUP_MATCH_TOL):
+        for c, alpha in invariants._unique_candidates(b, GROUP_MATCH_TOL):
+            cand = MoebiusTransform(c, alpha)
             if verify_invariance(b, cand, b.degree + 1) <= GROUP_MATCH_TOL:
                 assert groups, f"invariant {cand!r} but no group for zeros {b.zeros}"
                 tol = max(GROUP_MATCH_TOL, 10 * groups[0].identity_tol)
@@ -445,7 +447,7 @@ def test_every_primitive_orbit_up_to_degree_100(n):
 
 
 def test_search_warns_on_inconsistent_order(monkeypatch):
-    monkeypatch.setattr(invariants, "moebius_order", lambda *args: None)
+    monkeypatch.setattr(invariants, "_order", lambda *args: None)
     m, _ = reference_solution(0.5, 5, DEGREE5_C)
     b = construct_invariant_product(m, 5)
     with pytest.warns(UserWarning, match="inconsistent with degree 5"):

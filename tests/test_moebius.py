@@ -392,7 +392,7 @@ def test_orbit_points_are_iterated_moebius_eval_bit_for_bit():
             iterates = [0j]
             for _ in range(n):
                 iterates.append(moebius_eval(m, iterates[-1]))
-            points, closes = moebius._orbit_of_zero(m, n, ORBIT_CLOSURE_TOL)
+            points, closes = moebius._orbit_of_zero(m.c, m.alpha, n, ORBIT_CLOSURE_TOL)
             assert points == tuple(iterates[:-1])
             assert closes == (abs(iterates[-1]) <= ORBIT_CLOSURE_TOL)
 

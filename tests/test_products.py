@@ -28,8 +28,11 @@ from blaschke import (
     blaschke_eval,
     blaschke_preimages,
     construct_invariant_product,
+    decompose_auto,
+    find_invariant_group,
     is_canonical,
     moebius_eval,
+    roundtrip_residual,
     solve_unimodular_c,
 )
 from conftest import multiset_close, random_interior, random_product
@@ -597,18 +600,26 @@ def test_circle_kernel_matches_the_quotient_form(degree):
         assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= bound
 
 
-def test_circle_kernel_falls_back_where_a_partial_product_leaves_the_normal_range():
-    # P = prod (z - a) overflows for 1,300 zeros near -z (|z - a| > 1.8),
-    # vanishes for 400 zeros near z and is subnormal for 309 zeros at
-    # distance 0.1, where c P / (z^n conj(P)) would be NaN or lose digits.
-    # After 320 zeros at distance 0.1, 50 more near -z bring |P| back to
-    # about 3e-306, normal, but the digits lost on the way stay lost.
-    z = cmath.exp(0.3j)
+def fallback_cases(z):
+    """Zero sets on which P = prod (z - a) leaves the normal range at the circle point z.
+
+    P overflows for 1,300 zeros near -z (|z - a| > 1.8), vanishes for 400
+    zeros near z and is subnormal for 309 zeros at distance 0.1, where
+    c P / (z^n conj(P)) would be NaN or lose digits.  After 320 zeros at
+    distance 0.1, 50 more near -z bring |P| back to about 3e-306, normal,
+    but the digits lost on the way stay lost.
+    """
     rng = random.Random(9)
     overflow = [-z * (0.85 + 0.05 * random_interior(rng, 1.0)) for _ in range(1300)]
     underflow = [z * (0.97 + 0.01 * random_interior(rng, 1.0)) for _ in range(400)]
     subnormal = [z * 0.9] * 309
     recovered = [z * 0.9] * 320 + [-0.95 * z] * 50
+    return overflow, underflow, subnormal, recovered
+
+
+def test_circle_kernel_falls_back_where_a_partial_product_leaves_the_normal_range():
+    z = cmath.exp(0.3j)
+    overflow, underflow, subnormal, recovered = fallback_cases(z)
     assert sys.float_info.min <= abs(math.prod(z - a for a in recovered)) < math.inf
     for zeros in (overflow, underflow, subnormal, recovered):
         product = BlaschkeProduct(1.0, zeros)
@@ -617,3 +628,93 @@ def test_circle_kernel_falls_back_where_a_partial_product_leaves_the_normal_rang
         value = blaschke.products._circle_value(product, z)
         assert value == quotient_values(product, [z])[0]
         assert abs(abs(value) - 1.0) <= 1e-10
+
+
+def one_point_circle_value(product, z):
+    """The circle kernel's arithmetic at one point, guard and fallback included: the batch's reference."""
+    p = 1.0 + 0j
+    for a in product.zeros:
+        p *= z - a
+    n, size, tiny = product.degree, abs(p), sys.float_info.min
+    if not (tiny <= size * 0.5 ** (n + 1) and size <= 1.0 / tiny):
+        return quotient_values(product, [z])[0]
+    return product.constant * p / (z ** n * p.conjugate())
+
+
+def test_batched_circle_kernel_is_the_one_point_form_bit_for_bit():
+    rng = random.Random(17)
+    products = [random_product(rng, degree, radius=0.95) for degree in (1, 2, 5, 13, 40)]
+    # The orbit product at n = 800 falls back at most of its table points.
+    c, _ = solve_unimodular_c(0.3, 800)[0]
+    products.append(construct_invariant_product(MoebiusTransform(c, 0.3), 800))
+    for product in products:
+        count = 2 * product.degree + 1
+        points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+        expected = [one_point_circle_value(product, z) for z in points]
+        assert blaschke.products._circle_values(product, points) == expected
+        assert [blaschke.products._circle_value(product, z) for z in points] == expected
+        table = blaschke.products._circle_table(product)
+        assert table == tuple(zip(points, expected))
+    # Points that fall back and points that do not, in one batch.
+    z = cmath.exp(0.3j)
+    for zeros in fallback_cases(z):
+        product = BlaschkeProduct(1.0, zeros)
+        points = [z, -z, 1j * z, z]
+        expected = [one_point_circle_value(product, w) for w in points]
+        assert blaschke.products._circle_values(product, points) == expected
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts the circle-kernel batches of each size per product, from an empty table memo."""
+    blaschke.products._cached_table.cache_clear()
+    calls = []
+    kernel = blaschke.products._circle_values
+
+    def counted(product, points):
+        points = list(points)
+        calls.append((product, len(points)))
+        return kernel(product, points)
+
+    monkeypatch.setattr(blaschke.products, "_circle_values", counted)
+    yield calls
+    blaschke.products._cached_table.cache_clear()
+
+
+def test_circle_table_is_built_once_per_product_and_count(table_builds):
+    rng = random.Random(23)
+    b = random_product(rng, 6)
+    table = blaschke.products._circle_table(b)
+    assert isinstance(table, tuple) and all(isinstance(entry, tuple) for entry in table)
+    with pytest.raises(TypeError):
+        table[0] = (1.0, 1.0)
+    # A value-equal product reads the same table.
+    assert blaschke.products._circle_table(BlaschkeProduct(b.constant, tuple(b.zeros))) is table
+    assert table_builds == [(b, 13)]
+    # One zero moved is another product.
+    moved = BlaschkeProduct(b.constant, (b.zeros[0] + 1e-12,) + b.zeros[1:])
+    assert blaschke.products._circle_table(moved) is not table
+    # Another count is another table.
+    assert len(blaschke.products._circle_table(b, 7)) == 7
+    assert blaschke.products._circle_table(b, 13) is table
+    assert table_builds == [(b, 13), (moved, 13), (b, 7)]
+
+
+def test_circle_table_memo_is_bounded(table_builds):
+    rng = random.Random(29)
+    products = [random_product(rng, 3) for _ in range(blaschke.products.CIRCLE_TABLES + 1)]
+    for b in products:
+        blaschke.products._circle_table(b)
+    assert blaschke.products._cached_table.cache_info().currsize == blaschke.products.CIRCLE_TABLES
+    # The first product was evicted, so its table is built again.
+    blaschke.products._circle_table(products[0])
+    assert table_builds == [(b, 7) for b in products] + [(products[0], 7)]
+
+
+def test_invariant_search_and_split_share_one_table(table_builds):
+    c, _ = solve_unimodular_c(0.3 + 0.2j, 14)[0]
+    b = construct_invariant_product(MoebiusTransform(c, 0.3 + 0.2j), 14)
+    (group,) = find_invariant_group(b)
+    split = decompose_auto(b)
+    assert group.order == 14 and roundtrip_residual(split, b) <= 1e-7
+    assert [call for call in table_builds if call == (b, 29)] == [(b, 29)]
