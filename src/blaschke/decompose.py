@@ -177,7 +177,7 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
         picks = [i for i, z in enumerate(zeros) if abs(z) > ORIGIN_ZERO_TOL]
         if len(picks) != d - 1:
             raise ConditionsUnsatisfied(f"no inner factor on 0 and {d - 1} other zero(s) of B")
-        return BlaschkeProduct(1.0, [0j] + [zeros[i] for i in picks])
+        return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in picks))
     pts = _phase_points(product, 1.0, [i for i in range(n) if i % m < 2])
     r0, *r = [math.prod((z - p) / (z - q) for p, q in zip(pts[0::2], pts[1::2])) for z in (0j, *zeros)]
     order = sorted((max(abs(ri - r0), math.ulp(1.0) * n * abs(r0)), i) for i, ri in enumerate(r))
@@ -187,7 +187,7 @@ def _inner_from_fibers(product: BlaschkeProduct, d: int) -> BlaschkeProduct:
         fiber = sorted(i for _, i in order[: k * d])
         firsts = [fiber[c[0]] for c in _clusters([zeros[i] for i in fiber], k)]
         picks = sorted(firsts, key=lambda i: abs(zeros[i]))[1:]
-        return BlaschkeProduct(1.0, [0j] + [zeros[i] for i in sorted(picks)])
+        return BlaschkeProduct(1.0, (0j,) + tuple(zeros[i] for i in sorted(picks)))
 
     step = {j: dist[j * d] / dist[j * d - 1] for j in range(1, m + 1)}
     best = max(range(1, m), key=step.__getitem__)

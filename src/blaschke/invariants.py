@@ -129,21 +129,20 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     zero a_j of equal modulus.  One that fixes 0 is a rotation, by a k-th
     root of unity when 0 is a zero of multiplicity k.
 
-    Candidates are ranked by order (largest first), then by the phases of c
-    and alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at the 2n + 1
-    circle points that decide equality, as ``verify_invariance(product, M)``
-    does: at the first point alone, then at the rest in one batch.  On the
-    circle |B| = 1 at every degree, so a map that (nearly) permutes the
-    zeros without being invariant leaves a residual there that the small
-    values |B| takes inside the disk at high degree cannot hide.  B's values
-    at the circle points are taken once per product, shared with the round
-    trip of a split (``products._circle_table``), as c P(z) / (z^n conj(P(z)))
-    with P(z) = prod (z - a), one multiply per zero.  The first candidate
-    that passes, with an order dividing the degree, generates the group: the
-    invariants of a finite Blaschke product form a finite, hence cyclic,
-    subgroup of the disk automorphisms, so every other invariant is one of
-    its powers.  Candidates are ranked and vetted as raw (c, alpha) pairs;
-    a :class:`MoebiusTransform` is built only for the generator and for a
+    Candidates are ranked by order (largest first), then by the phases of c and
+    alpha.  Each must keep ``|B(M(z)) - B(z)| <= tol`` at the 2n + 1 circle
+    points that decide equality, as ``verify_invariance(product, M)`` does, in
+    one batch.  On the circle |B| = 1 at every degree, so a map that (nearly)
+    permutes the zeros without being invariant leaves a residual there that the
+    small values |B| takes inside the disk at high degree cannot hide.  B's
+    values at the circle points are taken once per product, shared with the
+    round trip of a split (``products._circle_table``), as c P(z) / (z^n
+    conj(P(z))) with P(z) = prod (z - a), one multiply per zero.  The first
+    candidate that passes, with an order dividing the degree, generates the
+    group: the invariants of a finite Blaschke product form a finite, hence
+    cyclic, subgroup of the disk automorphisms, so every other invariant is one
+    of its powers.  Candidates are ranked and vetted as raw (c, alpha) pairs; a
+    :class:`MoebiusTransform` is built only for the generator and for a
     candidate reported by a warning.
     """
     if not tol >= 0:
@@ -162,11 +161,8 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
         ),
     )
     table = _circle_table(product)
-    first, rest = table[:1], table[1:]
     for order, c, alpha in ranked:
-        if _residuals(product, c, alpha, first)[0] > tol:
-            continue
-        if any(r > tol for r in _residuals(product, c, alpha, rest)):
+        if any(r > tol for r in _residuals(product, c, alpha, table)):
             continue
         if order is None or n % order:
             cand = MoebiusTransform(c, alpha)

@@ -30,8 +30,6 @@ PREIMAGE_PHASE_TOL = 1e-10
 # Phi' <= 2 sum 1/|z - a|.  With every zero at least d from z the allowance
 # is at most 7.1e-15 n / d, so it matters only for zeros near the circle.
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
-# Circle tables (:func:`_circle_table`) kept at a time.
-CIRCLE_TABLES = 16
 # Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
 
@@ -51,10 +49,7 @@ class BlaschkeProduct(Record):
         constant = require_finite(constant)
         if abs(abs(constant) - 1.0) > UNIT_MODULUS_TOL:
             raise ValueError(f"|constant| = {abs(constant)!r} is not within {UNIT_MODULUS_TOL} of 1")
-        # A tuple built from a list comes from the tuple free list of its
-        # size.  One built from a generator is resized into place, and when
-        # freed it joins that free list, which grows until a full collection.
-        zeros = tuple([require_finite(z) for z in zeros])
+        zeros = tuple(require_finite(z) for z in zeros)
         if not zeros:
             raise ValueError("a Blaschke product needs at least one zero")
         for z in zeros:
@@ -140,18 +135,17 @@ def _circle_table(product: BlaschkeProduct, count: Optional[int] = None) -> tupl
     B = 1/conj(B), so two degree-n products agree where P_a Q_b - P_b Q_a,
     of degree at most 2n, vanishes: 2n + 1 points decide their equality.
     B is taken by :func:`_circle_values` in one batch.  The table is kept
-    per product: the last ``CIRCLE_TABLES`` (product, count) pairs are
-    memoised, so the invariant search and the round trip of a split on the
-    same product, or on an equal one, build it once.
+    per product: the last (product, count) pair is memoised, so the
+    invariant search and the round trip of a split on the same product, or
+    on an equal one, build it once.
     """
     return _cached_table(product, 2 * product.degree + 1 if count is None else count)
 
 
-@functools.lru_cache(maxsize=CIRCLE_TABLES)
+@functools.lru_cache(maxsize=1)
 def _cached_table(product: BlaschkeProduct, count: int) -> tuple[tuple[complex, complex], ...]:
     points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
-    # From a list, as the zeros in BlaschkeProduct.__init__.
-    return tuple(list(zip(points, _circle_values(product, points))))
+    return tuple(zip(points, _circle_values(product, points)))
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:

@@ -695,18 +695,18 @@ def test_circle_table_is_built_once_per_product_and_count(table_builds):
     moved = BlaschkeProduct(b.constant, (b.zeros[0] + 1e-12,) + b.zeros[1:])
     assert blaschke.products._circle_table(moved) is not table
     # Another count is another table.
-    assert len(blaschke.products._circle_table(b, 7)) == 7
-    assert blaschke.products._circle_table(b, 13) is table
+    seven = blaschke.products._circle_table(b, 7)
+    assert len(seven) == 7 and blaschke.products._circle_table(b, 7) is seven
     assert table_builds == [(b, 13), (moved, 13), (b, 7)]
 
 
 def test_circle_table_memo_is_bounded(table_builds):
     rng = random.Random(29)
-    products = [random_product(rng, 3) for _ in range(blaschke.products.CIRCLE_TABLES + 1)]
+    products = [random_product(rng, 3) for _ in range(3)]
     for b in products:
         blaschke.products._circle_table(b)
-    assert blaschke.products._cached_table.cache_info().currsize == blaschke.products.CIRCLE_TABLES
-    # The first product was evicted, so its table is built again.
+    assert blaschke.products._cached_table.cache_info().currsize == 1
+    # Each later product evicted the one before, so the first is built again.
     blaschke.products._circle_table(products[0])
     assert table_builds == [(b, 7) for b in products] + [(products[0], 7)]
 

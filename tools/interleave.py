@@ -18,12 +18,15 @@ benchmark runs cannot offer.  The CLI session calls each tree's
 ``cli.run`` in this process, so it times the commands without interpreter
 start-up.
 
-Round 0 is an untimed warm-up.  Prints the NEW / OLD ratios of the median
-task time, the 90th percentile and the total task time (below 1 means NEW
-is faster), the total-time ratio of each pass, and how many task outputs,
-warm-up included, differ in ``repr`` between the trees or fail the
-benchmark's checks.  Running a checkout against itself shows the noise
-floor of the ratios.
+Every task runs through the benchmark's own ``run.Runner``, one per tree,
+so a task that raises is counted as a failed operation, as in a benchmark
+run, and its time is left out.  Round 0 is an untimed warm-up.  Prints the
+NEW / OLD ratios of the median task time, the 90th percentile and the total
+task time (below 1 means NEW is faster), the total-time ratio of each pass,
+and, warm-up included, how many task outputs differ in ``repr`` between the
+trees, how many operations failed and how many checks failed in each.
+Running a checkout against itself shows the noise floor of the ratios.
+Exits 1 if a tree timed fewer than two tasks.
 """
 
 from __future__ import annotations
@@ -32,13 +35,13 @@ import argparse
 import contextlib
 import importlib
 import io
+import math
 import shutil
 import statistics
 import sys
 import tempfile
 from functools import partial
 from pathlib import Path
-from time import perf_counter
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 NAMES = ("blaschke_old", "blaschke_new")
@@ -56,6 +59,20 @@ def load_trees(roots: list[Path], into: Path) -> list:
     for name in NAMES:
         packages.append(importlib.import_module(name))
     return packages
+
+
+class Recorded:
+    """A benchmark task that keeps its output for the ``repr`` comparison; None if it raised."""
+
+    def __init__(self, task) -> None:
+        self.task, self.output = task, None
+
+    def run(self):
+        self.output = self.task.run()
+        return self.output
+
+    def check(self, audit, output) -> None:
+        self.task.check(audit, output)
 
 
 def inprocess_cli(pkg, argv: list[str]) -> tuple[int, str]:
@@ -83,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(BENCH))
-    import checks
     import run
     import workloads
 
@@ -99,40 +115,44 @@ def main(argv: list[str] | None = None) -> int:
             cli = partial(inprocess_cli, pkg) if args.workload == "cli-session" else None
             contexts.append(run.make_context(pkg, args.seed, cli, workdir))
         # Round 0 warms both trees up, untimed; its outputs are compared too.
-        warm = [run.make_round(args.workload, args.seed, 0, ctx) for ctx in contexts]
-        differ = sum(repr(old.run()) != repr(new.run()) for old, new in zip(*warm))
+        runners = [run.Runner(), run.Runner()]
+        warm = [[Recorded(task) for task in run.make_round(args.workload, args.seed, 0, ctx)] for ctx in contexts]
+        for runner, tasks in zip(runners, warm):
+            runner.round(tasks)
+        differ = sum(repr(old.output) != repr(new.output) for old, new in zip(*warm))
 
         times: list[list[float]] = [[], []]
-        pass_ratios, audits = [], [checks.Audit(), checks.Audit()]
+        pass_ratios = []
         for rep in range(args.reps):
             totals = [0.0, 0.0]
             for r in range(args.rounds):
                 k = 1 + rep * args.rounds + r
                 rounds = [run.make_round(args.workload, args.seed, k, ctx) for ctx in contexts]
                 for i, pair in enumerate(zip(*rounds)):
-                    order = (0, 1) if (i + rep) % 2 == 0 else (1, 0)
-                    outputs = [None, None]
-                    for side in order:
-                        t0 = perf_counter()
-                        outputs[side] = pair[side].run()
-                        elapsed = perf_counter() - t0
-                        times[side].append(elapsed)
-                        totals[side] += elapsed
-                    differ += repr(outputs[0]) != repr(outputs[1])
-                    for side in (0, 1):
-                        pair[side].check(audits[side], outputs[side])
-            pass_ratios.append(totals[1] / totals[0])
+                    pair = [Recorded(task) for task in pair]
+                    for side in (0, 1) if (i + rep) % 2 == 0 else (1, 0):
+                        elapsed = runners[side].round([pair[side]])[0]
+                        times[side] += elapsed
+                        totals[side] += sum(elapsed)
+                    differ += repr(pair[0].output) != repr(pair[1].output)
+            pass_ratios.append(totals[1] / totals[0] if totals[0] else math.nan)
 
     old, new = times
     print(f"workload {args.workload}, seed {args.seed}: {args.reps} passes x {args.rounds} rounds, "
-          f"{len(old)} tasks per tree")
-    for q in (50, 90):
-        print(f"p{q}: {quantile(old, q) * 1e3:.4f} -> {quantile(new, q) * 1e3:.4f} ms, "
-              f"ratio {quantile(new, q) / quantile(old, q):.3f}")
-    print(f"total: {sum(old):.3f} -> {sum(new):.3f} s, ratio {sum(new) / sum(old):.3f}")
-    print("total ratio per pass: " + " ".join(f"{x:.3f}" for x in pass_ratios))
-    print(f"outputs differing in repr: {differ}; failed checks: old {audits[0].failed}, new {audits[1].failed}")
-    return 0
+          f"{len(old)} and {len(new)} tasks timed")
+    timed = len(old) >= 2 and len(new) >= 2
+    if timed:
+        for q in (50, 90):
+            print(f"p{q}: {quantile(old, q) * 1e3:.4f} -> {quantile(new, q) * 1e3:.4f} ms, "
+                  f"ratio {quantile(new, q) / quantile(old, q):.3f}")
+        print(f"total: {sum(old):.3f} -> {sum(new):.3f} s, ratio {sum(new) / sum(old):.3f}")
+        print("total ratio per pass: " + " ".join(f"{x:.3f}" for x in pass_ratios))
+    print(f"outputs differing in repr: {differ}; failed operations: old {runners[0].failed}, "
+          f"new {runners[1].failed}; failed checks: old {runners[0].audit.failed}, new {runners[1].audit.failed}")
+    for name, runner in zip(("old", "new"), runners):
+        for line in runner.audit.failures + runner.errors:
+            print(f"interleave: {name}: {line}", file=sys.stderr)
+    return 0 if timed else 1
 
 
 if __name__ == "__main__":
