@@ -24,6 +24,7 @@ caller supplies.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from typing import Sequence
 
@@ -102,8 +103,8 @@ def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
     """Indices of ``points`` in clusters of ``size``: the first point left and the size - 1 nearest it."""
     left, clusters = list(range(len(points))), []
     while left:
-        nearest = sorted(left[1:], key=lambda i: abs(points[i] - points[left[0]]))
-        clusters.append(sorted([left[0], *nearest[: size - 1]]))
+        nearest = heapq.nsmallest(size - 1, left[1:], key=lambda i: abs(points[i] - points[left[0]]))
+        clusters.append(sorted([left[0], *nearest]))
         left = [i for i in left if i not in clusters[-1]]
     return clusters
 

@@ -32,6 +32,11 @@ PREIMAGE_PHASE_TOL = 1e-10
 PREIMAGE_ROUNDING = 32.0 * sys.float_info.epsilon
 # Cap on Newton steps per boundary preimage and Aberth sweeps per interior solve.
 PREIMAGE_MAX_STEPS = 100
+# Zeros per block of :func:`_circle_values`.  On the unit circle every factor
+# has 2^-40 < OPEN_DISK_MARGIN <= |z - a| < 2, so from |P| in [1/2, 1) a
+# block of k factors keeps every partial product above 2^(-1 - 40 k) and
+# below 2^k: normal for k = 25, the largest such k.
+_BLOCK = sys.float_info.min_exp // (math.frexp(OPEN_DISK_MARGIN)[1] - 1)
 
 
 class BlaschkeProduct(Record):
@@ -96,30 +101,23 @@ def _circle_values(product: BlaschkeProduct, points: Iterable[complex]) -> list[
     """B at each of ``points``, on the unit circle: c P(z) / (z^n conj(P(z))) with P = prod (z - a).
 
     On the circle 1 - conj(a) z = z conj(z - a), so one multiply per zero
-    replaces a quotient (Garcia, Mashreghi and Ross, 2018).  Each |z - a| < 2,
-    so if a partial product of P fell below the normal float range, where it
-    loses digits, then |P| < 2^(n + 1) times the least normal float.  At
-    those points, and where |P| could overflow, the quotient form of
-    :func:`_values` is used.
+    replaces a quotient (Garcia, Mashreghi and Ross, 2018).  The value
+    ignores any real scale of P, so P is multiplied in blocks of ``_BLOCK``
+    zeros and brought back to [1/2, 1) by an exact power of two between
+    blocks; no partial product leaves the normal float range, at any degree.
     """
-    c, zeros = product.constant, product.zeros
-    n, tiny = len(zeros), sys.float_info.min
-    scale, huge = 0.5 ** (n + 1), 1.0 / tiny
-    values, fallback = [], []
+    c, zeros, n = product.constant, product.zeros, len(product.zeros)
+    first, rest = zeros[:_BLOCK], [zeros[i : i + _BLOCK] for i in range(_BLOCK, n, _BLOCK)]
+    values = []
     for z in points:
         p = 1.0 + 0j
-        for a in zeros:
+        for a in first:
             p *= z - a
-        size = abs(p)
-        if tiny <= size * scale and size <= huge:
-            values.append(c * p / (z ** n * p.conjugate()))
-        else:
-            # z holds the place until the quotient form below replaces it.
-            fallback.append(len(values))
-            values.append(z)
-    if fallback:
-        for i, value in zip(fallback, _values(product, [values[i] for i in fallback])):
-            values[i] = value
+        for block in rest:
+            p *= math.ldexp(1.0, -math.frexp(abs(p))[1])
+            for a in block:
+                p *= z - a
+        values.append(c * p / (z ** n * p.conjugate()))
     return values
 
 
@@ -243,8 +241,7 @@ def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
         return (value - b) / (value * s1 + b * s2), False
 
     roots, _ = _aberth(newton, inner.degree, 0.6, PREIMAGE_MAX_STEPS, True)
-    for z in roots:
-        residual = abs(c * math.prod([(z - a) / (1.0 - ac * z) for a, ac in pairs]) - b)
+    for z, residual in zip(roots, [abs(value - b) for value in _values(inner, roots)]):
         if not residual <= PREIMAGE_PHASE_TOL:
             reach = sum(1.0 / max(abs(z - a), sys.float_info.min) + 1.0 / abs(1.0 - ac * z) for a, ac in pairs)
             bound = PREIMAGE_PHASE_TOL + PREIMAGE_ROUNDING * (1.0 + reach)

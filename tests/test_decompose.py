@@ -39,7 +39,7 @@ from blaschke import (
     roundtrip_residual,
     solve_unimodular_c,
 )
-from blaschke.decompose import ROUNDTRIP_TOL, _fiber_split, _inner_from_fibers, _split_through_degree
+from blaschke.decompose import ROUNDTRIP_TOL, _clusters, _fiber_split, _inner_from_fibers, _split_through_degree
 from blaschke.numerics import ComplexPolynomial, poly_roots
 from blaschke.products import ORIGIN_ZERO_TOL
 from conftest import (
@@ -49,6 +49,32 @@ from conftest import (
     multiset_close,
     random_interior,
 )
+
+
+def brute_force_clusters(points, size):
+    """The first index left and, size - 1 times, the index left nearest it, ties to the lower index."""
+    left, clusters = list(range(len(points))), []
+    while left:
+        cluster = [left[0]]
+        for _ in range(size - 1):
+            rest = [i for i in left if i not in cluster]
+            cluster.append(min(rest, key=lambda i: (abs(points[i] - points[left[0]]), i)))
+        clusters.append(sorted(cluster))
+        left = [i for i in left if i not in cluster]
+    return clusters
+
+
+def test_clusters_are_the_nearest_points_left_with_ties_to_the_lower_index():
+    rng = random.Random(31)
+    for trial in range(300):
+        size = rng.randint(1, 5)
+        count = size * rng.randint(1, 8)
+        if trial % 2:
+            # A coarse grid: many equal distances and repeated points.
+            points = [0.25 * complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(count)]
+        else:
+            points = [random_interior(rng, 0.9) for _ in range(count)]
+        assert _clusters(points, size) == brute_force_clusters(points, size)
 
 
 def assert_roundtrip(dec, original):

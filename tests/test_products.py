@@ -35,6 +35,7 @@ from blaschke import (
     roundtrip_residual,
     solve_unimodular_c,
 )
+from blaschke.moebius import OPEN_DISK_MARGIN
 from conftest import multiset_close, random_interior, random_product
 
 
@@ -596,72 +597,100 @@ def test_circle_kernel_matches_the_quotient_form(degree):
     count = 2 * degree + 1
     for k in range(count):
         z = cmath.exp(2j * math.pi * k / count)
-        bound = 8.0 * sys.float_info.epsilon * (degree + sum(1.0 / abs(z - a) for a in zeros))
-        assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= bound
+        assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= circle_bound(product, z)
 
 
-def fallback_cases(z):
-    """Zero sets on which P = prod (z - a) leaves the normal range at the circle point z.
+def circle_bound(product, z):
+    """The rounding allowance of B at z: a few eps per factor, and eps / |z - a| at a steep one."""
+    return 8.0 * sys.float_info.epsilon * (product.degree + sum(1.0 / abs(z - a) for a in product.zeros))
+
+
+def out_of_range_cases(z):
+    """Zero sets on which P = prod (z - a), multiplied unscaled, leaves the normal range at the circle point z.
 
     P overflows for 1,300 zeros near -z (|z - a| > 1.8), vanishes for 400
-    zeros near z and is subnormal for 309 zeros at distance 0.1, where
-    c P / (z^n conj(P)) would be NaN or lose digits.  After 320 zeros at
-    distance 0.1, 50 more near -z bring |P| back to about 3e-306, normal,
-    but the digits lost on the way stay lost.
+    zeros near z and is subnormal for 309 zeros at distance 0.1, where an
+    unscaled c P / (z^n conj(P)) would be NaN or lose digits.  After 320
+    zeros at distance 0.1, 50 more near -z bring |P| back to about 3e-306,
+    normal, but the digits lost on the way would stay lost.  Last, three
+    blocks of zeros as close to z as the disk allows: every factor is about
+    ``OPEN_DISK_MARGIN``, the smallest a factor can be, so each block takes
+    P as low as the block length allows.
     """
     rng = random.Random(9)
     overflow = [-z * (0.85 + 0.05 * random_interior(rng, 1.0)) for _ in range(1300)]
     underflow = [z * (0.97 + 0.01 * random_interior(rng, 1.0)) for _ in range(400)]
     subnormal = [z * 0.9] * 309
     recovered = [z * 0.9] * 320 + [-0.95 * z] * 50
-    return overflow, underflow, subnormal, recovered
+    edge = [z * (1.0 - OPEN_DISK_MARGIN)] * (3 * blaschke.products._BLOCK)
+    return overflow, underflow, subnormal, recovered, edge
 
 
-def test_circle_kernel_falls_back_where_a_partial_product_leaves_the_normal_range():
-    z = cmath.exp(0.3j)
-    overflow, underflow, subnormal, recovered = fallback_cases(z)
+@pytest.mark.parametrize("z", [1.0 + 0j, cmath.exp(0.3j)], ids=["1", "exp(0.3i)"])
+def test_circle_kernel_holds_where_the_unscaled_product_leaves_the_normal_range(z):
+    overflow, underflow, subnormal, recovered, edge = out_of_range_cases(z)
     assert sys.float_info.min <= abs(math.prod(z - a for a in recovered)) < math.inf
-    for zeros in (overflow, underflow, subnormal, recovered):
+    for zeros in (overflow, underflow, subnormal, recovered, edge):
         product = BlaschkeProduct(1.0, zeros)
         partial = itertools.accumulate((z - a for a in zeros), operator.mul)
         assert not all(sys.float_info.min <= abs(p) < math.inf for p in partial)
-        value = blaschke.products._circle_value(product, z)
-        assert value == quotient_values(product, [z])[0]
-        assert abs(abs(value) - 1.0) <= 1e-10
+        # Points that leave the range and points that do not, in one batch.
+        points = [z, -z, 1j * z, z]
+        values = blaschke.products._circle_values(product, points)
+        assert [blaschke.products._circle_value(product, w) for w in points] == values
+        for w, value, quotient in zip(points, values, quotient_values(product, points)):
+            assert abs(value - quotient) <= circle_bound(product, w)
+            assert abs(abs(value) - 1.0) <= 1e-10
 
 
-def one_point_circle_value(product, z):
-    """The circle kernel's arithmetic at one point, guard and fallback included: the batch's reference."""
+def unscaled_circle_value(product, z):
+    """c P / (z^n conj(P)) with P multiplied unscaled; None where a partial product may leave the normal range.
+
+    None unless |P| >= 2^(n + 1) times the least normal float and P is finite:
+    each |z - a| < 2, so then no partial product was subnormal.
+    """
     p = 1.0 + 0j
     for a in product.zeros:
         p *= z - a
     n, size, tiny = product.degree, abs(p), sys.float_info.min
     if not (tiny <= size * 0.5 ** (n + 1) and size <= 1.0 / tiny):
-        return quotient_values(product, [z])[0]
+        return None
     return product.constant * p / (z ** n * p.conjugate())
 
 
-def test_batched_circle_kernel_is_the_one_point_form_bit_for_bit():
+def orbit_product(n):
+    c, _ = solve_unimodular_c(0.3, n)[0]
+    return construct_invariant_product(MoebiusTransform(c, 0.3), n)
+
+
+def test_circle_kernel_is_the_unscaled_form_bit_for_bit_in_the_normal_range():
+    # Rescaling by a power of two is exact, so wherever the unscaled product
+    # stays normal the blocks change no bit, at any degree.
     rng = random.Random(17)
-    products = [random_product(rng, degree, radius=0.95) for degree in (1, 2, 5, 13, 40)]
-    # The orbit product at n = 800 falls back at most of its table points.
-    c, _ = solve_unimodular_c(0.3, 800)[0]
-    products.append(construct_invariant_product(MoebiusTransform(c, 0.3), 800))
+    products = [random_product(rng, degree, radius=0.95) for degree in (1, 2, 5, 13, 24, 25, 26, 40)]
+    products.append(orbit_product(800))
     for product in products:
         count = 2 * product.degree + 1
         points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
-        expected = [one_point_circle_value(product, z) for z in points]
-        assert blaschke.products._circle_values(product, points) == expected
-        assert [blaschke.products._circle_value(product, z) for z in points] == expected
-        table = blaschke.products._circle_table(product)
-        assert table == tuple(zip(points, expected))
-    # Points that fall back and points that do not, in one batch.
-    z = cmath.exp(0.3j)
-    for zeros in fallback_cases(z):
-        product = BlaschkeProduct(1.0, zeros)
-        points = [z, -z, 1j * z, z]
-        expected = [one_point_circle_value(product, w) for w in points]
-        assert blaschke.products._circle_values(product, points) == expected
+        values = blaschke.products._circle_values(product, points)
+        assert [blaschke.products._circle_value(product, z) for z in points] == values
+        assert blaschke.products._circle_table(product) == tuple(zip(points, values))
+        expected = [unscaled_circle_value(product, z) for z in points]
+        normal = [(value, unscaled) for value, unscaled in zip(values, expected) if unscaled is not None]
+        assert [value for value, _ in normal] == [unscaled for _, unscaled in normal]
+        # Every point up to degree 40 is in range, and some at degree 800.
+        assert len(normal) == count if product.degree <= 40 else 0 < len(normal) < count
+
+
+def test_circle_kernel_matches_the_quotient_form_at_degree_800():
+    # 436 of these 1,601 points leave the unscaled normal range.
+    product = orbit_product(800)
+    count = 2 * product.degree + 1
+    points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+    values = blaschke.products._circle_values(product, points)
+    assert sum(unscaled_circle_value(product, z) is None for z in points) > count // 4
+    for z, value, quotient in zip(points, values, quotient_values(product, points)):
+        assert abs(value - quotient) <= circle_bound(product, z)
 
 
 @pytest.fixture
