@@ -48,7 +48,7 @@ def product_from_document(doc: Any) -> BlaschkeProduct:
     try:
         constant = complex(doc["constant"][0], doc["constant"][1])
         zeros = tuple(complex(z[0], z[1]) for z in doc["zeros"])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, OverflowError) as exc:
         raise BadShape(f"malformed product document: {exc}") from exc
     try:
         return BlaschkeProduct(constant, zeros)
@@ -73,8 +73,8 @@ def _complex_arg(text: str) -> complex:
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer but got {text!r}")
+    if not text.isdecimal() or not 1 <= int(text) <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"expected a positive integer that a float can hold but got {text!r}")
     return int(text)
 
 

@@ -24,6 +24,7 @@ caller supplies.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from typing import Sequence
@@ -42,9 +43,8 @@ from .moebius import moebius_fixed_point_in_disk
 from .products import (
     ORIGIN_ZERO_TOL,
     BlaschkeProduct,
-    _circle_table,
-    _circle_value,
     _circle_values,
+    _deviation,
     _phase_points,
     _values,
     is_canonical,
@@ -90,13 +90,11 @@ def roundtrip_residual(dec: Decomposition, original: BlaschkeProduct) -> float:
     There |B| = 1 at every degree, and two degree-n products that agree at
     2n + 1 points of the circle are equal, so the residual decides the
     split.  inner maps the circle to itself, so every value, outer's too, is
-    taken in one batch by ``products._circle_values``.  B's values come from
-    ``products._circle_table``, kept per product, so a split of a product
+    taken in one batch by ``products._circle_values`` and compared with B's
+    memoised values by ``products._deviation``, so a split of a product
     whose invariant group was just searched reads the search's table.
     """
-    table = _circle_table(original)
-    composed = _circle_values(dec.outer, _circle_values(dec.inner, [z for z, _ in table]))
-    return max(abs(w - value) for w, (_, value) in zip(composed, table))
+    return _deviation(original, lambda points: _circle_values(dec.outer, _circle_values(dec.inner, points)))
 
 
 def _clusters(points: Sequence[complex], size: int) -> list[list[int]]:
@@ -115,7 +113,7 @@ def _outer_from_fibers(product: BlaschkeProduct, inner: BlaschkeProduct) -> Blas
     images = _values(inner, product.zeros)
     outer_zeros = [sum(images[i] for i in fiber) / d for fiber in _clusters(images, d)]
     try:
-        constant = recover_constant(outer_zeros, lambda z: _circle_value(product, z), inner)
+        constant = recover_constant(outer_zeros, functools.partial(_circle_values, product), inner)
     except NormalizationError as exc:
         raise ConditionsUnsatisfied(f"the zeros do not fall into fibers of the inner factor: {exc}") from exc
     return BlaschkeProduct(constant, tuple(outer_zeros))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import BadShape, OrbitDegenerate, OrbitNotClosed, Record
 from .moebius import (
@@ -24,7 +24,7 @@ from .moebius import (
     moebius_iterate_zero,
     moebius_order,
 )
-from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_table, _circle_values, is_canonical
+from .products import ORIGIN_ZERO_TOL, BlaschkeProduct, _circle_values, _deviation, is_canonical
 
 
 class InvariantGroup(Record):
@@ -84,23 +84,21 @@ def verify_invariance(product: BlaschkeProduct, m: MoebiusTransform, samples: in
     points of the circle, so ``samples >= degree`` decides equality.  The
     default, ``samples = degree``, reads those 2n + 1 points, the table that
     :func:`find_invariant_group` checks.  M maps the circle to itself, so
-    B(M(z)) is taken there as B(z) is, one multiply per zero.
+    B(M(z)) is taken there as B(z) is, one multiply per zero, and compared
+    with B's memoised values by ``products._deviation``.
     """
     n = product.degree
     samples = n if samples is None else samples
     if samples < n:
         raise ValueError(f"need at least degree = {n} samples, got {samples}")
-    return max(_residuals(product, m.c, m.alpha, _circle_table(product, n + 1 + samples)))
+    return _deviation(product, _composed(product, m.c, m.alpha), n + 1 + samples)
 
 
-def _residuals(
-    product: BlaschkeProduct, c: complex, alpha: complex, table: Sequence[tuple[complex, complex]]
-) -> list[float]:
-    # |B(M(z)) - B(z)| over the table, M with parameters c and alpha; M maps
-    # the circle to itself, so B(M(z)) is taken in one batch there.
+def _composed(product: BlaschkeProduct, c: complex, alpha: complex) -> Callable[[Sequence[complex]], list[complex]]:
+    # The batch z -> B(M(z)) on the circle, M with parameters c and alpha;
+    # M maps the circle to itself.
     alphac = alpha.conjugate()
-    images = _circle_values(product, [c * (z - alpha) / (1.0 - alphac * z) for z, _ in table])
-    return [abs(bw - bz) for bw, (_, bz) in zip(images, table)]
+    return lambda points: _circle_values(product, [c * (z - alpha) / (1.0 - alphac * z) for z in points])
 
 
 def _unique_candidates(product: BlaschkeProduct, tol: float) -> list[tuple[complex, complex]]:
@@ -136,9 +134,10 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
     permutes the zeros without being invariant leaves a residual there that the
     small values |B| takes inside the disk at high degree cannot hide.  B's
     values at the circle points are taken once per product, shared with the
-    round trip of a split (``products._circle_table``), as c P(z) / (z^n
-    conj(P(z))) with P(z) = prod (z - a), one multiply per zero.  The first
-    candidate that passes, with an order dividing the degree, generates the
+    round trip of a split (``products._deviation``), as c P(z) / (z^n
+    conj(P(z))) with P(z) = prod (z - a), one multiply per zero.  A candidate
+    of order 1 is the identity within the identity tolerance and is skipped.
+    The first candidate that passes, with an order dividing the degree, generates the
     group: the invariants of a finite Blaschke product form a finite, hence
     cyclic, subgroup of the disk automorphisms, so every other invariant is one
     of its powers.  Candidates are ranked and vetted as raw (c, alpha) pairs; a
@@ -160,9 +159,8 @@ def find_invariant_group(product: BlaschkeProduct, tol: float = GROUP_MATCH_TOL)
             item[0] is None, -(item[0] or 0), cmath.phase(item[1]) % turn, cmath.phase(item[2]) % turn
         ),
     )
-    table = _circle_table(product)
     for order, c, alpha in ranked:
-        if any(r > tol for r in _residuals(product, c, alpha, table)):
+        if order == 1 or _deviation(product, _composed(product, c, alpha)) > tol:
             continue
         if order is None or n % order:
             cand = MoebiusTransform(c, alpha)

@@ -121,43 +121,41 @@ def _circle_values(product: BlaschkeProduct, points: Iterable[complex]) -> list[
     return values
 
 
-def _circle_value(product: BlaschkeProduct, z: complex) -> complex:
-    """B at one point z of the unit circle, by :func:`_circle_values`."""
-    return _circle_values(product, (z,))[0]
+@functools.lru_cache(maxsize=1)
+def _circle_table(product: BlaschkeProduct, count: int) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """The ``count`` equally spaced points z of the unit circle, starting at 1, and B at each.
+
+    B is taken by :func:`_circle_values` in one batch.  The last (product,
+    count) table is memoised, so the invariant search, an invariance check
+    and the round trip of a split on the same product, or on an equal one,
+    build it once.  Only :func:`_deviation` reads it.
+    """
+    points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+    return tuple(points), tuple(_circle_values(product, points))
 
 
-def _circle_table(product: BlaschkeProduct, count: Optional[int] = None) -> tuple[tuple[complex, complex], ...]:
-    """The pairs (z, B(z)) at ``count`` equally spaced points z of the unit circle, starting at 1.
+def _deviation(
+    product: BlaschkeProduct, values: Callable[[Sequence[complex]], Sequence[complex]], count: Optional[int] = None
+) -> float:
+    """Max of |values(z) - B(z)| over the ``count`` points z of :func:`_circle_table`.
 
+    ``values`` maps the points to a candidate's values there in one batch.
     By default count is 2n + 1 for degree n.  On the circle |B| = 1 and
     B = 1/conj(B), so two degree-n products agree where P_a Q_b - P_b Q_a,
     of degree at most 2n, vanishes: 2n + 1 points decide their equality.
-    B is taken by :func:`_circle_values` in one batch.  The table is kept
-    per product: the last (product, count) pair is memoised, so the
-    invariant search and the round trip of a split on the same product, or
-    on an equal one, build it once.
     """
-    return _cached_table(product, 2 * product.degree + 1 if count is None else count)
-
-
-@functools.lru_cache(maxsize=1)
-def _cached_table(product: BlaschkeProduct, count: int) -> tuple[tuple[complex, complex], ...]:
-    points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
-    return tuple(zip(points, _circle_values(product, points)))
+    points, reference = _circle_table(product, 2 * product.degree + 1 if count is None else count)
+    return max(abs(value - expected) for value, expected in zip(values(points), reference))
 
 
 def blaschke_equal(a: BlaschkeProduct, b: BlaschkeProduct, tol: float = EQUALITY_TOL) -> bool:
-    """Pointwise equality oracle at the 2n + 1 unit-circle points that decide it (:func:`_circle_table`)."""
-    if a.degree != b.degree:
-        return False
-    table = _circle_table(a)
-    values = _circle_values(b, [z for z, _ in table])
-    return all(abs(vb - va) <= tol for vb, (_, va) in zip(values, table))
+    """Pointwise equality oracle at the 2n + 1 unit-circle points that decide it (:func:`_deviation`)."""
+    return a.degree == b.degree and _deviation(a, functools.partial(_circle_values, b)) <= tol
 
 
 def recover_constant(
     zeros: Sequence[complex],
-    reference: Callable[[complex], complex],
+    reference: Callable[[Sequence[complex]], Sequence[complex]],
     inner: Optional[BlaschkeProduct] = None,
 ) -> complex:
     """Unimodular c with ``c * prod (w-a)/(1-conj(a) w) = reference(z)``, w = inner(z).
@@ -168,13 +166,14 @@ def recover_constant(
     z = i agrees within ``CONSTANT_RECOVERY_TOL``, :class:`NormalizationError`
     is raised.  Not at -1: for zeros symmetric about the real axis both
     solutions at 1 and -1 are real, and a misfit could agree there.
+    ``reference`` and ``inner`` take the points 1 and i in one batch.
     """
-
-    def ratio(z: complex) -> complex:
-        w = z if inner is None else _circle_value(inner, z)
-        return reference(z) / math.prod((w - a) / (1.0 - a.conjugate() * w) for a in zeros)
-
-    at_one, at_i = ratio(1.0 + 0j), ratio(1j)
+    points = [1.0 + 0j, 1j]
+    images = points if inner is None else _circle_values(inner, points)
+    at_one, at_i = (
+        value / math.prod((w - a) / (1.0 - a.conjugate() * w) for a in zeros)
+        for value, w in zip(reference(points), images)
+    )
     if not abs(at_one - at_i) <= CONSTANT_RECOVERY_TOL:
         raise NormalizationError(f"the constant read at 1 and at i differs by {abs(at_one - at_i):.3e}")
     return at_one / abs(at_one)
@@ -257,7 +256,7 @@ def _disk_preimages(inner: BlaschkeProduct, b: complex) -> list[complex]:
 def blaschke_compose(outer: BlaschkeProduct, inner: BlaschkeProduct) -> BlaschkeProduct:
     """``outer ∘ inner``: zeros from :func:`_disk_preimages`, constant from :func:`recover_constant`."""
     zeros = [z for b in outer.zeros for z in _disk_preimages(inner, b)]
-    composed = recover_constant(zeros, lambda z: _circle_value(outer, _circle_value(inner, z)))
+    composed = recover_constant(zeros, lambda points: _circle_values(outer, _circle_values(inner, points)))
     return BlaschkeProduct(composed, tuple(zeros))
 
 

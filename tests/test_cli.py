@@ -414,6 +414,19 @@ def test_malformed_product_document(capsys, tmp_path, doc):
     assert_error_exit(capsys, ["preimages", "--product", str(path), "--lambda", "1,0"], "BadShape")
 
 
+def test_product_document_with_a_coordinate_no_float_holds(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"constant": [1.0, 0.0], "zeros": [[1' + "0" * 400 + ', 0.0]]}')
+    assert_error_exit(capsys, ["preimages", "--product", str(path), "--lambda", "1,0"], "BadShape")
+
+
+def test_plot_rejects_a_canvas_no_float_holds(capsys, poncelet_doc, tmp_path):
+    out_path, canvas = tmp_path / "figure.svg", "1" + "0" * 400
+    code = run(["plot", "--product", poncelet_doc, "--canvas", canvas, "--out", str(out_path)])
+    assert code == 2 and canvas in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_plot_svg_structure(capsys, poncelet_doc, tmp_path):
     out_path = tmp_path / "figure.svg"
     code = run(["plot", "--product", poncelet_doc, "--ellipse", "--lambda", "1,0",

@@ -28,7 +28,7 @@ from blaschke import (
     solve_unimodular_c,
     verify_invariance,
 )
-from blaschke import invariants
+from blaschke import invariants, products
 from blaschke.decompose import ROUNDTRIP_TOL, roundtrip_residual
 from blaschke.invariants import GROUP_MATCH_TOL
 from blaschke.moebius import IDENTITY_TOL, ORBIT_DISTINCT_TOL, moebius_order
@@ -409,25 +409,28 @@ def sign_flipping_product():
 
 
 def test_search_builds_the_oracle_once(monkeypatch):
+    # Every candidate reads the one table of B at the 2n + 1 points, built once.
     calls = []
-    circle_table = invariants._circle_table
+    circle_table = products._circle_table
 
     def counted(*args):
         calls.append(args)
         return circle_table(*args)
 
-    monkeypatch.setattr(invariants, "_circle_table", counted)
+    monkeypatch.setattr(products, "_circle_table", counted)
+    circle_table.cache_clear()
     c, _ = solve_unimodular_c(0.4, 20)[0]
     b = construct_invariant_product(MoebiusTransform(c, 0.4), 20)
     assert find_invariant_group(b)[0].order == 20
-    assert len(calls) == 1
+    assert set(calls) == {(b, 41)} and circle_table.cache_info().misses == 1
 
     calls.clear()
+    circle_table.cache_clear()
     b = sign_flipping_product()
     swap = MoebiusTransform(-1.0, 0.5)
     assert max(abs(blaschke_eval(b, moebius_eval(swap, a))) for a in b.zeros) <= 1e-15
     assert find_invariant_group(b) == ()
-    assert len(calls) == 1
+    assert len(calls) > 1 and set(calls) == {(b, 7)} and circle_table.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", [24, 36, 60, 100])
@@ -452,6 +455,13 @@ def test_search_warns_on_inconsistent_order(monkeypatch):
     b = construct_invariant_product(m, 5)
     with pytest.warns(UserWarning, match="inconsistent with degree 5"):
         assert find_invariant_group(b) == ()
+
+
+def test_search_skips_a_candidate_of_order_one():
+    # At tol = 1e-3 the candidate c = 1, alpha = 1e-4 is the identity within
+    # max(IDENTITY_TOL, tol), so its order reads 1: it generates no group,
+    # and no warning is raised (warnings fail the suite).
+    assert find_invariant_group(BlaschkeProduct(1.0, (0j, 1e-4, -1e-4)), 1e-3) == ()
 
 
 def test_no_spurious_group_at_degree_200():

@@ -34,8 +34,9 @@ from blaschke import (
     moebius_eval,
     roundtrip_residual,
     solve_unimodular_c,
+    verify_invariance,
 )
-from blaschke.moebius import OPEN_DISK_MARGIN
+from blaschke.moebius import GROUP_MATCH_TOL, OPEN_DISK_MARGIN
 from conftest import multiset_close, random_interior, random_product
 
 
@@ -595,9 +596,9 @@ def test_circle_kernel_matches_the_quotient_form(degree):
         zeros[1] = (1.0 - 1e-8) * cmath.exp(2j * math.pi / (2 * degree + 1))
     product = BlaschkeProduct(cmath.exp(2j * math.pi * rng.random()), zeros)
     count = 2 * degree + 1
-    for k in range(count):
-        z = cmath.exp(2j * math.pi * k / count)
-        assert abs(blaschke.products._circle_value(product, z) - blaschke_eval(product, z)) <= circle_bound(product, z)
+    points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
+    for z, value in zip(points, blaschke.products._circle_values(product, points)):
+        assert abs(value - blaschke_eval(product, z)) <= circle_bound(product, z)
 
 
 def circle_bound(product, z):
@@ -637,7 +638,7 @@ def test_circle_kernel_holds_where_the_unscaled_product_leaves_the_normal_range(
         # Points that leave the range and points that do not, in one batch.
         points = [z, -z, 1j * z, z]
         values = blaschke.products._circle_values(product, points)
-        assert [blaschke.products._circle_value(product, w) for w in points] == values
+        assert [blaschke.products._circle_values(product, [w])[0] for w in points] == values
         for w, value, quotient in zip(points, values, quotient_values(product, points)):
             assert abs(value - quotient) <= circle_bound(product, w)
             assert abs(abs(value) - 1.0) <= 1e-10
@@ -673,8 +674,8 @@ def test_circle_kernel_is_the_unscaled_form_bit_for_bit_in_the_normal_range():
         count = 2 * product.degree + 1
         points = [cmath.exp(2j * math.pi * k / count) for k in range(count)]
         values = blaschke.products._circle_values(product, points)
-        assert [blaschke.products._circle_value(product, z) for z in points] == values
-        assert blaschke.products._circle_table(product) == tuple(zip(points, values))
+        assert [blaschke.products._circle_values(product, [z])[0] for z in points] == values
+        assert blaschke.products._circle_table(product, count) == (tuple(points), tuple(values))
         expected = [unscaled_circle_value(product, z) for z in points]
         normal = [(value, unscaled) for value, unscaled in zip(values, expected) if unscaled is not None]
         assert [value for value, _ in normal] == [unscaled for _, unscaled in normal]
@@ -696,7 +697,7 @@ def test_circle_kernel_matches_the_quotient_form_at_degree_800():
 @pytest.fixture
 def table_builds(monkeypatch):
     """Counts the circle-kernel batches of each size per product, from an empty table memo."""
-    blaschke.products._cached_table.cache_clear()
+    blaschke.products._circle_table.cache_clear()
     calls = []
     kernel = blaschke.products._circle_values
 
@@ -707,25 +708,25 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(blaschke.products, "_circle_values", counted)
     yield calls
-    blaschke.products._cached_table.cache_clear()
+    blaschke.products._circle_table.cache_clear()
 
 
 def test_circle_table_is_built_once_per_product_and_count(table_builds):
     rng = random.Random(23)
     b = random_product(rng, 6)
-    table = blaschke.products._circle_table(b)
-    assert isinstance(table, tuple) and all(isinstance(entry, tuple) for entry in table)
+    table = blaschke.products._circle_table(b, 13)
+    assert isinstance(table, tuple) and len(table) == 2 and all(isinstance(half, tuple) for half in table)
     with pytest.raises(TypeError):
-        table[0] = (1.0, 1.0)
+        table[1][0] = 1.0
     # A value-equal product reads the same table.
-    assert blaschke.products._circle_table(BlaschkeProduct(b.constant, tuple(b.zeros))) is table
+    assert blaschke.products._circle_table(BlaschkeProduct(b.constant, tuple(b.zeros)), 13) is table
     assert table_builds == [(b, 13)]
     # One zero moved is another product.
     moved = BlaschkeProduct(b.constant, (b.zeros[0] + 1e-12,) + b.zeros[1:])
-    assert blaschke.products._circle_table(moved) is not table
+    assert blaschke.products._circle_table(moved, 13) is not table
     # Another count is another table.
     seven = blaschke.products._circle_table(b, 7)
-    assert len(seven) == 7 and blaschke.products._circle_table(b, 7) is seven
+    assert [len(half) for half in seven] == [7, 7] and blaschke.products._circle_table(b, 7) is seven
     assert table_builds == [(b, 13), (moved, 13), (b, 7)]
 
 
@@ -733,10 +734,10 @@ def test_circle_table_memo_is_bounded(table_builds):
     rng = random.Random(29)
     products = [random_product(rng, 3) for _ in range(3)]
     for b in products:
-        blaschke.products._circle_table(b)
-    assert blaschke.products._cached_table.cache_info().currsize == 1
+        blaschke.products._circle_table(b, 7)
+    assert blaschke.products._circle_table.cache_info().currsize == 1
     # Each later product evicted the one before, so the first is built again.
-    blaschke.products._circle_table(products[0])
+    blaschke.products._circle_table(products[0], 7)
     assert table_builds == [(b, 7) for b in products] + [(products[0], 7)]
 
 
@@ -746,4 +747,9 @@ def test_invariant_search_and_split_share_one_table(table_builds):
     (group,) = find_invariant_group(b)
     split = decompose_auto(b)
     assert group.order == 14 and roundtrip_residual(split, b) <= 1e-7
+    assert verify_invariance(b, group.generator) <= GROUP_MATCH_TOL
     assert [call for call in table_builds if call == (b, 29)] == [(b, 29)]
+    # An equality test reads the same table; its other operand, equal to b,
+    # is taken at the table's points.
+    assert blaschke_equal(b, BlaschkeProduct(b.constant, tuple(b.zeros)))
+    assert blaschke.products._circle_table.cache_info().misses == 1
